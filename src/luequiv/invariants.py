@@ -18,6 +18,7 @@ words over singleton (nondegenerate) indices, and patterned block sums.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import string
@@ -138,16 +139,24 @@ def _balanced_pair_arrays(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(lefts), np.concatenate(rights)
 
 
+@functools.lru_cache(maxsize=128)
 def _canonical_letter_arrays(n: int, length: int) -> np.ndarray:
-    """Canonical balanced words of one length as an (W, length, 2) array.
+    """Canonical balanced words of one length as a read-only (W, length, 2) array.
 
     Canonical form is the lexicographically minimal cyclic rotation; output
     rows are sorted by their packed integer code, which makes the order
-    deterministic and stable across calls.
+    deterministic and stable across calls.  The result depends only on the
+    two ints, so it is memoised.  Letters are stored in the smallest
+    unsigned dtype that holds them (uint8 for n <= N^2 <= 64), which keeps
+    the cached arrays small, and the array is read-only because every
+    caller shares it.
     """
+    dtype = np.min_scalar_type(n - 1)
     lefts, rights = _balanced_pair_arrays(n, length)
     if lefts.shape[0] == 0:
-        return np.zeros((0, length, 2), np.int64)
+        out = np.zeros((0, length, 2), dtype)
+        out.flags.writeable = False
+        return out
     codes = lefts * n + rights  # (W, L) letter codes in [0, n^2)
     base = n * n
     powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
@@ -162,7 +171,9 @@ def _canonical_letter_arrays(n: int, length: int) -> np.ndarray:
     canon = canon[np.sort(first)]
     order = np.argsort(canon @ powers, kind="stable")
     canon = canon[order]
-    return np.stack([canon // n, canon % n], axis=2)
+    out = np.stack([canon // n, canon % n], axis=2).astype(dtype)
+    out.flags.writeable = False
+    return out
 
 
 def enumerate_balanced_words(
@@ -192,16 +203,32 @@ def _batch_word_values(
     """Evaluate many equal-length words at once.
 
     ``stack`` is the (n, N, N) array of coefficient matrices; ``arr`` holds
-    0-based letters with shape (W, L, 2).
+    0-based letters with shape (W, L, 2).  The n^2 letter factors are built
+    once.  The product of each word's first L-1 factors is built level by
+    level over the distinct prefixes only: a run of adjacent rows with the
+    same prefix shares one product, and rows sorted by packed code (as
+    ``_canonical_letter_arrays`` returns them) keep shared prefixes
+    adjacent.  The last factor enters through the trace alone.
     """
+    n, length = stack.shape[0], arr.shape[1]
     if arr.shape[0] == 0:
         return np.zeros(0, dtype=complex)
     dstack = stack.conj().transpose(0, 2, 1)
     first, second = (stack, dstack) if side == "L" else (dstack, stack)
-    prod = first[arr[:, 0, 0]] @ second[arr[:, 0, 1]]
-    for k in range(1, arr.shape[1]):
-        prod = prod @ (first[arr[:, k, 0]] @ second[arr[:, k, 1]])
-    return np.einsum("wii->w", prod)
+    gens = (first[:, None] @ second[None, :]).reshape(n * n, *stack.shape[1:])
+    codes = arr[:, :, 0].astype(np.intp) * n + arr[:, :, 1]  # (W, L)
+    if length == 1:
+        return np.einsum("cii->c", gens)[codes[:, 0]]
+    # prods[pid[w]] is the product of the first k+1 factors of word w
+    prods, pid = gens, codes[:, 0]
+    changed = codes[1:, 0] != codes[:-1, 0]
+    for k in range(1, length - 1):
+        # rows whose prefix of length k+1 differs from the row before
+        changed |= codes[1:, k] != codes[:-1, k]
+        starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
+        prods = prods[pid[starts]] @ gens[codes[starts, k]]
+        pid = np.concatenate(([0], np.cumsum(changed)))
+    return np.einsum("wab,wba->w", prods[pid], gens[codes[:, -1]])
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +253,22 @@ def cycle_type_representatives(tau: int) -> list[tuple[tuple[int, ...], tuple[in
     return out
 
 
-def _block_network_value(stack: np.ndarray, pattern: tuple[int, ...], side: str) -> complex:
-    """Contract the patterned block sum as a tensor network.
+def _block_gram(stack: np.ndarray) -> np.ndarray:
+    """sum_i A_i (x) conj(A_i) over a block's (r, N, N) coefficient stack."""
+    return np.einsum("iab,icd->abcd", stack, stack.conj())
 
-    ``stack`` holds the block's coefficient matrices, shape (r, N, N).  The
-    value equals the literal sum over all index assignments of the word
-    whose dagger slot after position s carries label pattern[(s+1) % tau].
+
+@functools.lru_cache(maxsize=256)
+def _block_expression(pattern: tuple[int, ...], side: str, dim: int) -> tuple[str, tuple]:
+    """Einsum subscripts of one patterned block sum and its contraction path.
+
+    ``optimize=True`` caps intermediates at the largest input (N^4
+    entries), which leaves the 5- and 6-cycles no pairwise contraction and
+    falls back to one loop over all 2*tau indices.  The greedy path under a
+    generous cap contracts pairwise; its largest intermediate is N^6
+    entries.  The path depends only on the subscripts and N.
     """
     tau = len(pattern)
-    g = np.einsum("iab,icd->abcd", stack, stack.conj())
     inv = [0] * tau
     for s, u in enumerate(pattern):
         inv[u] = s
@@ -249,7 +283,21 @@ def _block_network_value(stack: np.ndarray, pattern: tuple[int, ...], side: str)
             subs.append(a[u] + b[u] + a[s_star] + b[prev])
         else:
             subs.append(b[prev] + a[s_star] + b[u] + a[u])
-    return complex(np.einsum(",".join(subs) + "->", *([g] * tau), optimize=True))
+    expr = ",".join(subs) + "->"
+    shape = np.empty((dim,) * 4)
+    path, _ = np.einsum_path(expr, *([shape] * tau), optimize=("greedy", 10**8))
+    return expr, tuple(path)
+
+
+def _block_network_value(gram: np.ndarray, pattern: tuple[int, ...], side: str) -> complex:
+    """Contract the patterned block sum as a tensor network.
+
+    ``gram`` is the block's ``_block_gram`` tensor.  The value equals the
+    literal sum over all index assignments of the word whose dagger slot
+    after position s carries label pattern[(s+1) % tau].
+    """
+    expr, path = _block_expression(pattern, side, gram.shape[0])
+    return complex(np.einsum(expr, *([gram] * len(pattern)), optimize=path))
 
 
 def block_invariant(
@@ -273,8 +321,8 @@ def block_invariant(
     for p in block:
         if not (0 <= p < sd.rank):
             raise IndexOutOfRange(f"block position {p} exceeds rank {sd.rank}")
-    stack = np.stack([sd.coeff_matrices[p] for p in block])
-    return _block_network_value(stack, tuple(pattern), side)
+    gram = _block_gram(np.stack([sd.coeff_matrices[p] for p in block]))
+    return _block_network_value(gram, tuple(pattern), side)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +361,15 @@ class InvariantSignature:
     def balanced_words(self) -> dict[str, complex]:
         """Canonical word key -> value; built on demand (keys are slow)."""
         if self._balanced_cache is None:
+            # letters are 1-based indices <= rank; code i*m + j labels (i, j)
+            m = self.rank + 1
+            labels = [f"({c // m},{c % m})" for c in range(m * m)]
             out: dict[str, complex] = {}
             for g in self.balanced_groups:
-                for row, val in zip(g.letters, g.values):
-                    out[_word_key(g.side, row)] = complex(val)
+                prefix = g.side + ":"
+                codes = g.letters[:, :, 0] * m + g.letters[:, :, 1]
+                for row, val in zip(codes.tolist(), g.values.tolist()):
+                    out[prefix + "".join([labels[c] for c in row])] = val
             self._balanced_cache = out
         return self._balanced_cache
 
@@ -366,12 +419,12 @@ def fingerprint_from_decomposition(
     for block in blocks:
         if len(block) == 1:
             continue
-        stack = np.stack([sd.coeff_matrices[p] for p in block])
+        gram = _block_gram(np.stack([sd.coeff_matrices[p] for p in block]))
         for side in SIDES:
             for tau in range(1, cap + 1):
                 for ctype, perm in cycle_type_representatives(tau):
                     block_vals[_block_key(side, block, tau, ctype)] = _block_network_value(
-                        stack, perm, side
+                        gram, perm, side
                     )
     return InvariantSignature(
         dim_local=sd.dim_local,

@@ -9,6 +9,8 @@ import luequiv as lq
 from luequiv.errors import BudgetExceeded, IndexOutOfRange, PatternMismatch
 from luequiv.invariants import (
     Word,
+    _batch_word_values,
+    _canonical_letter_arrays,
     count_balanced_words,
     cycle_type_representatives,
     fingerprint_from_decomposition,
@@ -191,6 +193,63 @@ class TestEnumerateBalanced:
         assert all(w.is_balanced() for w in a)
 
 
+class TestCanonicalWordCache:
+    def test_read_only(self):
+        arr = _canonical_letter_arrays(3, 3)
+        assert arr.dtype == np.uint8
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1
+
+    @pytest.mark.parametrize("n,length", [(1, 3), (2, 4), (3, 3), (4, 2)])
+    def test_matches_uncached(self, n, length):
+        cached = _canonical_letter_arrays(n, length)
+        assert _canonical_letter_arrays(n, length) is cached
+        np.testing.assert_array_equal(cached, _canonical_letter_arrays.__wrapped__(n, length))
+
+    def test_enumeration_order_unchanged(self):
+        # by length, then lexicographically in the letters (packed-code order)
+        want = sorted(brute_balanced_words(3, 3), key=lambda w: (len(w), w))
+        for _ in range(2):
+            assert [w.letters for w in lq.enumerate_balanced_words(3, 3)] == want
+
+
+class TestWordKernel:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_word_trace(self, rank):
+        sd = lq.spectral_decompose(lq.random_density(2, rank, seed=40 + rank))
+        stack = np.stack(sd.coeff_matrices)
+        for length in range(1, 6):
+            arr = _canonical_letter_arrays(rank, length)
+            for side in ("L", "R"):
+                got = _batch_word_values(stack, arr, side)
+                want = np.array(
+                    [
+                        lq.word_trace(sd, Word(side, tuple((i + 1, j + 1) for i, j in row)))
+                        for row in arr.tolist()
+                    ]
+                )
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    def test_unsorted_rows(self):
+        sd = lq.spectral_decompose(lq.random_density(3, 4, seed=45))
+        stack = np.stack(sd.coeff_matrices)
+        arr = _canonical_letter_arrays(4, 4)
+        perm = np.random.default_rng(46).permutation(arr.shape[0])
+        for side in ("L", "R"):
+            np.testing.assert_allclose(
+                _batch_word_values(stack, arr[perm], side),
+                _batch_word_values(stack, arr, side)[perm],
+                rtol=0,
+                atol=1e-14,
+            )
+
+    def test_empty(self):
+        stack = np.stack(lq.spectral_decompose(lq.random_density(2, 2, seed=47)).coeff_matrices)
+        for length in (1, 3):
+            empty = np.zeros((0, length, 2), np.uint8)
+            assert _batch_word_values(stack, empty, "L").shape == (0,)
+
+
 class TestBlockInvariant:
     def test_separating_values(self, diag_half_decompositions):
         sd_a, sd_b = diag_half_decompositions
@@ -219,6 +278,22 @@ class TestBlockInvariant:
                     got = lq.block_invariant(sd, block, perm, side)
                     want = brute_block_sum(sd, block, perm, side)
                     assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("tau", [4, 5, 6])
+    def test_long_patterns_match_brute_force(self, tau):
+        # the 5- and 6-cycles only contract pairwise under an explicit path
+        sd = lq.spectral_decompose(
+            lq.random_density(3, 4, degeneracy_profile=[2, 1, 1], seed=28)
+        )
+        block = next(b for b in sd.blocks if len(b) == 2)
+        reps = cycle_type_representatives(tau)
+        if tau == 6:
+            assert {(6,), (1, 5)} <= {ctype for ctype, _ in reps}
+        for _, perm in reps:
+            for side in ("L", "R"):
+                got = lq.block_invariant(sd, block, perm, side)
+                want = brute_block_sum(sd, block, perm, side)
+                assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
     def test_remix_invariance(self):
         sd = lq.spectral_decompose(
