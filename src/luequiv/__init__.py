@@ -3,9 +3,9 @@
 The library computes trace-polynomial invariants of a bipartite density
 matrix (power traces, word traces over eigenvector coefficient matrices,
 and degeneracy-block sums), builds the matrix algebras those words span,
-and reconstructs explicit local-unitary certificates through intertwiners
-and polar decompositions.  A command line front end handles JSON state
-files; see :mod:`luequiv.cli`.
+and reconstructs explicit local-unitary certificates from one coupled
+linear system and polar decompositions.  A command line front end handles
+JSON state files; see :mod:`luequiv.cli`.
 """
 
 __version__ = "0.1.0"
@@ -32,12 +32,9 @@ from .algebra import AlgebraBasis, algebra_from_words, build_algebra, express_in
 from .decider import (
     Certificate,
     EquivalenceVerdict,
-    Intertwiner,
     Witness,
     certify,
     decide,
-    extract_unitaries,
-    find_intertwiner,
 )
 from .testkit import OracleResult, brute_force_oracle, haar_unitary, random_density
 
@@ -65,11 +62,8 @@ __all__ = [
     "EquivalenceVerdict",
     "Witness",
     "Certificate",
-    "Intertwiner",
     "decide",
     "certify",
-    "find_intertwiner",
-    "extract_unitaries",
     "haar_unitary",
     "random_density",
     "brute_force_oracle",

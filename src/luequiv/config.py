@@ -13,7 +13,6 @@ class Tolerances:
     verdict can be reproduced from the tolerances recorded in a report.
     """
 
-    eps_recon: float = 1e-10      # relative reconstruction error for eig/svd/polar
     eps_herm: float = 1e-10       # Hermiticity check, relative to max(1, ||M||_F)
     eps_trace: float = 1e-10      # unit-trace check for density matrices
     eps_psd: float = 1e-10        # most negative admissible eigenvalue
@@ -21,8 +20,7 @@ class Tolerances:
     eps_deg: float = 1e-8         # relative gap below which eigenvalues share a block
     eps_inv: float = 1e-8         # invariant comparison (relative above magnitude 1)
     eps_cert: float = 1e-8        # certificate residual acceptance
-    eps_twine: float = 1e-8       # intertwiner residual acceptance
-    eps_det: float = 1e-12        # nonsingularity floor (Gram dets, intertwiners)
+    eps_det: float = 1e-12        # nonsingularity floor (Gram dets, certificate X and Y)
     eps_indep: float = 1e-8       # relative admission threshold in algebra closure
     eps_span: float = 1e-8        # residual for basis-expansion membership
     eps_null: float = 1e-8        # relative singular-value cutoff for null spaces

@@ -13,16 +13,25 @@ phase (and up to remixing inside degeneracy blocks), while the word-level
 intertwiner equations are phase sensitive.  The pipeline therefore first
 aligns the second state's eigenvector phases against the first using
 connector words (short words whose trace pins one relative phase), then
-solves one homogeneous linear system for a pair (X, Y): X intertwines the
+solves a homogeneous linear system for a pair (X, Y): X intertwines the
 left word generators, Y the right ones, and the linking equations
 A_i Y = X A'_i and A_i^dagger X = Y A'_i^dagger couple the two sides so
 that the unitary polar parts of X and Y form a consistent certificate.
 Solving for the sides independently would leave them coupled only through
 luck whenever the generator family has a nontrivial commutant (any pure
-state, for example).  For states with degenerate spectra the per-index
-correspondence is not observable; a second, remix-robust system (block
-sums plus singleton equations) is tried, and failing that the verdict is
-an explicit Inconclusive rather than a guess.
+state, for example).
+
+Up to two systems are tried, each with one SVD.  Its null space is
+searched at eps_null, and again at eps_null * retry_relax only when the
+looser cutoff admits more directions.  The first system is remix-robust:
+generator equations among the singleton eigenvectors, block-sum
+equations for each degeneracy block, and the linking equations.  When
+every block is a singleton it is the whole per-index system.  Only when a
+block is degenerate and the first system fails is the per-index system
+over all eigenvectors tried; it relies on both eigensolvers picking
+matching bases inside each block, which is what certifies a state
+against itself when no eigenvalue is a singleton.  If both fail, the
+verdict is an explicit Inconclusive rather than a guess.
 """
 
 from __future__ import annotations
@@ -33,15 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraBasis
 from .config import DEFAULT_TOL, Tolerances
-from .errors import (
-    DimensionMismatch,
-    LuequivError,
-    NoIntertwiner,
-    NoNonsingularElement,
-    NotUnitary,
-)
+from .errors import DimensionMismatch, LuequivError, NotUnitary
 from .invariants import (
     Word,
     compare_signatures,
@@ -50,7 +52,7 @@ from .invariants import (
     values_close,
     word_trace,
 )
-from .linalg import dagger, ensure_matrix, frob, kron, lstsq_nullspace, nullspace, polar_decompose
+from .linalg import dagger, ensure_matrix, frob, kron, nullspace, polar_decompose
 from .states import DensityMatrix, SpectralDecomposition, spectral_decompose
 
 EQUIVALENT = "equivalent"
@@ -76,14 +78,6 @@ class Certificate:
 
     u: np.ndarray
     w: np.ndarray
-    residual: float
-
-
-@dataclass(frozen=True)
-class Intertwiner:
-    """Nonsingular T with e_i T = T e'_i over a family of matrix pairs."""
-
-    matrix: np.ndarray
     residual: float
 
 
@@ -125,52 +119,6 @@ def certify(
 def _nonsingular(m: np.ndarray, eps_det: float) -> bool:
     s = np.linalg.svd(m, compute_uv=False)
     return s[0] > 0 and s[-1] > eps_det * max(1.0, s[0])
-
-
-def find_intertwiner(
-    basis_a: AlgebraBasis, basis_b: AlgebraBasis, tol: Tolerances = DEFAULT_TOL
-) -> Intertwiner:
-    """Nonsingular T with e_i T = T e'_i for word-matched algebra bases.
-
-    The null space of the stacked equations is searched with a fixed-seed
-    randomized combination strategy; the first draw whose smallest singular
-    value clears the nonsingularity floor wins.
-    """
-    if basis_a.side != basis_b.side or basis_a.dim != basis_b.dim:
-        raise ValueError("bases must share side and dimension")
-    if tuple(w.key() for w in basis_a.words) != tuple(w.key() for w in basis_b.words):
-        raise ValueError("bases must be indexed by the same word list")
-    n = basis_a.dim_local
-    pairs = list(zip(basis_a.elements, basis_b.elements))
-    sols = lstsq_nullspace(pairs, n, tol.eps_null)
-    if not sols:
-        raise NoIntertwiner("the intertwiner equations only admit zero")
-    rng = np.random.default_rng(tol.search_seed)
-    candidates = list(sols)
-    for _ in range(tol.null_space_draws):
-        coeff = rng.standard_normal(len(sols)) + 1j * rng.standard_normal(len(sols))
-        candidates.append(sum(c * s for c, s in zip(coeff, sols)))
-    for cand in candidates:
-        norm = frob(cand)
-        if norm < 1e-9:
-            continue
-        t = cand / norm
-        if _nonsingular(t, tol.eps_det):
-            residual = max(frob(ea @ t - t @ eb) for ea, eb in pairs)
-            return Intertwiner(t, residual)
-    raise NoNonsingularElement("all sampled null-space elements were singular")
-
-
-def extract_unitaries(
-    sd1: SpectralDecomposition,
-    sd2: SpectralDecomposition,
-    t_left: Intertwiner,
-    t_right: Intertwiner,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary polar parts of the two intertwiners: the candidate (u, w)."""
-    u = polar_decompose(t_left.matrix).unitary_part
-    w = polar_decompose(t_right.matrix).unitary_part
-    return u, w
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +279,23 @@ def _search_pair(
     rho2: DensityMatrix,
     vecs: np.ndarray,
     tol: Tolerances,
-) -> tuple[np.ndarray, np.ndarray, float] | None:
+) -> Certificate | None:
+    """First null-space element whose polar parts certify.
+
+    The basis rows are tried first, then seeded random combinations.  In a
+    one-dimensional space every combination is a multiple of the basis
+    vector, and ``certify`` does not see the common phase, so the draws
+    only run from two dimensions up.
+    """
     n = rho1.dim_local
     nn = n * n
-    if vecs.shape[0] == 0:
-        return None
-    rng = np.random.default_rng(tol.search_seed)
-    candidates = [v for v in vecs]
-    for _ in range(tol.null_space_draws):
-        coeff = rng.standard_normal(vecs.shape[0]) + 1j * rng.standard_normal(vecs.shape[0])
-        candidates.append(coeff @ vecs)
+    k = vecs.shape[0]
+    candidates = list(vecs)
+    if k >= 2:
+        rng = np.random.default_rng(tol.search_seed)
+        for _ in range(tol.null_space_draws):
+            coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            candidates.append(coeff @ vecs)
     for cand in candidates:
         x = cand[:nn].reshape(n, n)
         y = cand[nn:].reshape(n, n)
@@ -354,7 +309,7 @@ def _search_pair(
         w = polar_decompose(y).unitary_part
         residual = certify(rho1, rho2, u, w, tol)
         if residual <= tol.eps_cert:
-            return x, y, residual
+            return Certificate(u, w, residual)
     return None
 
 
@@ -368,46 +323,27 @@ def _attempt_certificate(
 ) -> tuple[Certificate | None, dict]:
     singles = [b[0] for b in blocks if len(b) == 1]
     coeffs2, align_info = _align_phases(sd1, sd2, singles, tol)
-    sd2_aligned = SpectralDecomposition(
-        sd2.dim_local, sd2.eigenvalues, tuple(coeffs2), blocks
-    )
     details: dict = {"alignment": align_info, "attempts": []}
-    modes = ["full"]
-    if any(len(b) > 1 for b in blocks):
-        modes.append("safe")
+    # with every block a singleton, "safe" already is the per-index system
+    modes = ("safe", "full") if len(singles) < len(blocks) else ("safe",)
     for mode in modes:
-        system = _certificate_system(sd1, coeffs2, blocks, mode)
+        null = nullspace(_certificate_system(sd1, coeffs2, blocks, mode))
+        searched = 0
         for eps in (tol.eps_null, tol.eps_null * tol.retry_relax):
-            vecs = nullspace(system, eps)
+            vecs = null.basis(eps)
             if vecs.shape[0] == 0:
                 # borderline alignment noise: try the least-violated direction
-                _, _, vh = np.linalg.svd(system)
-                vecs = vh[-1:].conj()
-            found = _search_pair(rho1, rho2, vecs, tol)
+                vecs = null.vectors[-1:]
+            if vecs.shape[0] <= searched:
+                continue  # the relaxed basis is the one just searched
+            searched = vecs.shape[0]
+            cert = _search_pair(rho1, rho2, vecs, tol)
             details["attempts"].append(
-                {"mode": mode, "eps_null": eps, "null_dim": int(vecs.shape[0]),
-                 "success": found is not None}
+                {"mode": mode, "eps_null": eps, "null_dim": searched,
+                 "success": cert is not None}
             )
-            if found is None:
-                continue
-            x, y, _ = found
-            gen_pairs_l = [
-                (sd1.coeff_matrices[i] @ dagger(sd1.coeff_matrices[j]),
-                 coeffs2[i] @ dagger(coeffs2[j]))
-                for i in range(sd1.rank) for j in range(sd1.rank)
-            ]
-            gen_pairs_r = [
-                (dagger(sd1.coeff_matrices[i]) @ sd1.coeff_matrices[j],
-                 dagger(coeffs2[i]) @ coeffs2[j])
-                for i in range(sd1.rank) for j in range(sd1.rank)
-            ]
-            t_left = Intertwiner(x, max(frob(p @ x - x @ q) for p, q in gen_pairs_l))
-            t_right = Intertwiner(y, max(frob(p @ y - y @ q) for p, q in gen_pairs_r))
-            u, w = extract_unitaries(sd1, sd2_aligned, t_left, t_right)
-            residual = certify(rho1, rho2, u, w, tol)
-            if residual <= tol.eps_cert:
-                details["intertwiner_residuals"] = [t_left.residual, t_right.residual]
-                return Certificate(u, w, residual), details
+            if cert is not None:
+                return cert, details
     return None, details
 
 
@@ -416,25 +352,13 @@ def _attempt_certificate(
 
 
 def _joint_blocks(
-    sd1: SpectralDecomposition, sd2: SpectralDecomposition, tol: Tolerances
+    sd1: SpectralDecomposition, sd2: SpectralDecomposition
 ) -> tuple[tuple[int, ...], ...]:
-    """Common coarsening of both block structures (indices pair by position)."""
-    n = sd1.dim_local
-    l1, l2 = sd1.eigenvalues, sd2.eigenvalues
-    s1 = max(float(l1[0]), 1.0 / (n * n))
-    s2 = max(float(l2[0]), 1.0 / (n * n))
-    blocks, current = [], [0]
-    for i in range(1, sd1.rank):
-        near = (l1[i - 1] - l1[i] <= tol.eps_deg * s1) or (
-            l2[i - 1] - l2[i] <= tol.eps_deg * s2
-        )
-        if near:
-            current.append(i)
-        else:
-            blocks.append(tuple(current))
-            current = [i]
-    blocks.append(tuple(current))
-    return tuple(blocks)
+    """Common coarsening of both block structures (indices pair by position):
+    a block boundary survives only where both decompositions have one."""
+    starts = sorted({b[0] for b in sd1.blocks} & {b[0] for b in sd2.blocks})
+    ends = starts[1:] + [sd1.rank]
+    return tuple(tuple(range(a, b)) for a, b in zip(starts, ends))
 
 
 def _witness_verdict(mismatch: tuple[str, str, complex, complex]) -> EquivalenceVerdict:
@@ -475,7 +399,7 @@ def decide(
                 outcome=INCONCLUSIVE, reason="spectrum-structure-mismatch",
                 details={"ranks": [sd1.rank, sd2.rank]},
             )
-        blocks = _joint_blocks(sd1, sd2, tol)
+        blocks = _joint_blocks(sd1, sd2)
         cap = tol.effective_tau_cap(rho1.dim_local)
         shallow = min(3, cap)
         sig1 = fingerprint_from_decomposition(sd1, js1, tol, blocks=blocks, tau_cap=shallow)

@@ -49,14 +49,6 @@ class NotInSpan(LuequivError):
     """Matrix does not lie in the span of the algebra basis."""
 
 
-class NoIntertwiner(LuequivError):
-    """The intertwiner equations admit only the zero solution."""
-
-
-class NoNonsingularElement(LuequivError):
-    """A null space exists but no sampled element was nonsingular."""
-
-
 class InvalidProfile(LuequivError):
     """A degeneracy profile does not match the requested rank."""
 

@@ -1,5 +1,5 @@
 """Dense complex matrix kernel: eigendecomposition, SVD, polar form,
-Kronecker products, partial traces, trace inner products and null spaces.
+Kronecker products, partial traces and null spaces.
 
 All functions are pure, operate on plain ``numpy`` complex arrays, and are
 deterministic given identical input bits (LAPACK drivers, no randomized
@@ -8,7 +8,7 @@ pivoting).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,54 +113,34 @@ def partial_trace(m, which: str, n: int) -> np.ndarray:
     return np.einsum("abac->bc", r)
 
 
-def trace_inner(sigma, tau) -> complex:
-    """Sesquilinear trace form Tr(sigma tau^dagger)."""
-    a = ensure_matrix(sigma, square=True)
-    b = ensure_matrix(tau, square=True)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(b, a))
+class NullSpace(NamedTuple):
+    """All right singular vectors of a system, from one SVD.
 
-
-def nullspace(mat: np.ndarray, eps_null: float = DEFAULT_TOL.eps_null) -> np.ndarray:
-    """Orthonormal basis of the approximate null space of ``mat``.
-
-    Returns an array of shape (k, cols); rows are null vectors with singular
-    value at most ``eps_null`` times the largest singular value.
+    ``vectors`` holds them as conjugated rows in SVD order, so the last row
+    is the least-violated direction; ``singulars`` holds the matching
+    singular values, descending (zeros for directions the rows never
+    reach).
     """
+
+    vectors: np.ndarray
+    singulars: np.ndarray
+
+    def basis(self, eps_null: float) -> np.ndarray:
+        """Orthonormal rows with singular value at most ``eps_null`` times
+        the largest; shape (k, cols), k = 0 when only zero solves it."""
+        rank = int(np.sum(self.singulars > eps_null * self.singulars[0]))
+        return self.vectors[rank:]
+
+
+def nullspace(mat: np.ndarray) -> NullSpace:
+    """Approximate null space of ``mat``, read off at any cutoff by ``basis``."""
     a = np.asarray(mat, dtype=complex)
+    cols = a.shape[1]
     if a.size == 0:
-        return np.eye(a.shape[1], dtype=complex)
-    # full right singular basis is only needed when rows < cols
-    u, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+        return NullSpace(np.eye(cols, dtype=complex), np.zeros(cols))
+    # Thin SVD: the left factor is never larger than the system.  A wide
+    # system needs the full right basis, whose left factor is then rows x rows.
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < cols)
     if s[0] <= 1e-12:  # the whole system is rounding noise
-        return np.eye(a.shape[1], dtype=complex)
-    cutoff = eps_null * s[0]
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj()
-
-
-def lstsq_nullspace(
-    constraints: Sequence[tuple[np.ndarray, np.ndarray]],
-    dim: int,
-    eps_null: float = DEFAULT_TOL.eps_null,
-) -> list[np.ndarray]:
-    """Solve the homogeneous system {P X = X Q} for a dim x dim unknown X.
-
-    Each constraint is a pair (P, Q) imposing P @ X - X @ Q = 0.  Returns an
-    orthonormal (vectorized) basis of the approximate null space; the empty
-    list when only the zero solution exists.
-    """
-    eye = np.eye(dim, dtype=complex)
-    blocks = []
-    for p, q in constraints:
-        p = ensure_matrix(p, square=True)
-        q = ensure_matrix(q, square=True)
-        if p.shape[0] != dim or q.shape[0] != dim:
-            raise DimensionMismatch("constraint matrices must match the unknown size")
-        # row-major vec: vec(P X Q) = kron(P, Q^T) vec(X)
-        blocks.append(np.kron(p, eye) - np.kron(eye, q.T))
-    if not blocks:
-        return [row.reshape(dim, dim) for row in np.eye(dim * dim, dtype=complex)]
-    vecs = nullspace(np.vstack(blocks), eps_null)
-    return [v.reshape(dim, dim) for v in vecs]
+        return NullSpace(np.eye(cols, dtype=complex), np.zeros(cols))
+    return NullSpace(vh.conj(), np.concatenate([s, np.zeros(cols - len(s))]))

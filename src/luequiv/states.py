@@ -68,12 +68,6 @@ class SpectralDecomposition:
     def rank(self) -> int:
         return len(self.coeff_matrices)
 
-    def singleton_indices(self) -> tuple[int, ...]:
-        return tuple(b[0] for b in self.blocks if len(b) == 1)
-
-    def has_degenerate_block(self) -> bool:
-        return any(len(b) > 1 for b in self.blocks)
-
 
 def validate_density(matrix, n: int, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; never repairs input."""

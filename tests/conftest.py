@@ -27,6 +27,19 @@ def bell_density() -> lq.DensityMatrix:
     return lq.validate_density(np.outer(v, v.conj()), 2)
 
 
+def weyl_bell_diagonal(n: int, weights) -> lq.DensityMatrix:
+    """sum_ab p_ab |Phi_ab><Phi_ab| with |Phi_ab> = (X^a Z^b (x) 1)|Phi>, the
+    Weyl-Heisenberg Bell basis of C^n (x) C^n; weights in (a, b) order."""
+    x = np.roll(np.eye(n), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    phi = np.eye(n).reshape(-1) / np.sqrt(n)
+    m = np.zeros((n * n, n * n), dtype=complex)
+    for (a, b), p in zip(np.ndindex(n, n), weights):
+        v = np.kron(np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b), np.eye(n)) @ phi
+        m += p * np.outer(v, v.conj())
+    return lq.validate_density(m, n)
+
+
 @pytest.fixture
 def diag_half_pair():
     """Rank-2 diagonal states with equal spectra but different block sums.

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import luequiv as lq
-from luequiv.algebra import algebra_from_words
-from luequiv.decider import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, Intertwiner
-from luequiv.errors import DimensionMismatch, NoIntertwiner, NoNonsingularElement, NotUnitary
+import luequiv.decider as decider
+from luequiv.config import DEFAULT_TOL
+from luequiv.decider import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT
+from luequiv.errors import DimensionMismatch, NotUnitary
 from luequiv.invariants import Word, cycle_type_representatives
-from luequiv.states import transform_decomposition
+from luequiv.states import decomposition_from_coeffs
 
-from conftest import orbit_pair
+from conftest import orbit_pair, unit, weyl_bell_diagonal
 
 
 def recompute_witness(rho_a, rho_b, witness):
@@ -71,53 +72,6 @@ class TestCertify:
             lq.certify(rho, rho, 2 * np.eye(2), np.eye(2))
 
 
-class TestFindIntertwiner:
-    def test_same_state_identity_direction(self):
-        sd = lq.spectral_decompose(lq.random_density(2, 3, seed=93))
-        basis = lq.build_algebra(sd, "L")
-        t = lq.find_intertwiner(basis, basis)
-        assert t.residual <= 1e-10
-        s = np.linalg.svd(t.matrix, compute_uv=False)
-        assert s[-1] > 1e-6
-
-    def test_orbit_pair(self):
-        rho, _, u1, u2 = orbit_pair(2, 3, seed=94)
-        sd = lq.spectral_decompose(rho)
-        moved = transform_decomposition(sd, u1, u2)
-        for side in ("L", "R"):
-            basis = lq.build_algebra(sd, side)
-            basis2 = algebra_from_words(moved, basis.words)
-            t = lq.find_intertwiner(basis, basis2)
-            assert t.residual <= 1e-8
-            # the polar unitary part conjugates the Hermitian generators
-            u = np.linalg.svd(t.matrix)[0] @ np.linalg.svd(t.matrix)[2]
-            for i in range(sd.rank):
-                if side == "L":
-                    a = sd.coeff_matrices[i] @ sd.coeff_matrices[i].conj().T
-                    b = moved.coeff_matrices[i] @ moved.coeff_matrices[i].conj().T
-                else:
-                    a = sd.coeff_matrices[i].conj().T @ sd.coeff_matrices[i]
-                    b = moved.coeff_matrices[i].conj().T @ moved.coeff_matrices[i]
-                assert np.linalg.norm(a @ u - u @ b) <= 1e-8
-
-    def test_no_intertwiner_for_unrelated_states(self):
-        sd_a = lq.spectral_decompose(lq.random_density(2, 2, seed=95))
-        sd_b = lq.spectral_decompose(lq.random_density(2, 2, seed=96))
-        basis_a = lq.build_algebra(sd_a, "L")
-        basis_b = lq.build_algebra(sd_b, "L")
-        if [w.key() for w in basis_a.words] != [w.key() for w in basis_b.words]:
-            pytest.skip("different admitted words already separate the states")
-        with pytest.raises((NoIntertwiner, NoNonsingularElement)):
-            lq.find_intertwiner(basis_a, basis_b)
-
-    def test_word_list_precondition(self):
-        sd = lq.spectral_decompose(lq.random_density(2, 2, seed=97))
-        left = lq.build_algebra(sd, "L")
-        right = lq.build_algebra(sd, "R")
-        with pytest.raises(ValueError):
-            lq.find_intertwiner(left, right)
-
-
 class TestGaugeAlignment:
     def test_connector_candidates_carry_the_right_phase_weight(self):
         from luequiv.decider import _connector_candidates, _word_net
@@ -127,23 +81,13 @@ class TestGaugeAlignment:
             for cand in _connector_candidates(i, j, singles):
                 assert _word_net(cand) == {i: 1, j: -1}
 
-    def test_certificate_details_record_intertwiner_residuals(self):
+    def test_certificate_details_record_attempts(self):
         rho, rho2, _, _ = orbit_pair(2, 3, seed=275)
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT
-        left, right = verdict.details["intertwiner_residuals"]
-        assert left <= 1e-8 and right <= 1e-8
-
-
-class TestExtractUnitaries:
-    def test_scaled_unitary_strips_scale(self):
-        rng = np.random.default_rng(98)
-        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        sd = lq.spectral_decompose(lq.random_density(2, 1, seed=99))
-        t = Intertwiner(2.0 * q, 0.0)
-        u, w = lq.extract_unitaries(sd, sd, t, t)
-        np.testing.assert_allclose(u, q, atol=1e-12)
-        np.testing.assert_allclose(w, q, atol=1e-12)
+        last = verdict.details["attempts"][-1]
+        assert last["success"] and last["null_dim"] >= 1
+        assert verdict.certificate.residual <= DEFAULT_TOL.eps_cert
 
 
 class TestDecide:
@@ -159,11 +103,12 @@ class TestDecide:
             assert lq.certify(rho, rho2, cert.u, cert.w) <= 1e-8
 
     def test_reflexivity(self):
-        for profile in (None, [2, 1], [2, 2]):
-            rank = 3 if profile == [2, 1] else (4 if profile == [2, 2] else 3)
-            rho = lq.random_density(2, rank, degeneracy_profile=profile, seed=210)
+        cases = [(2, None), (2, [2, 1]), (2, [2, 2]), (3, [2]), (3, [3]), (3, [4])]
+        for n, profile in cases:
+            rank = 3 if profile is None else sum(profile)
+            rho = lq.random_density(n, rank, degeneracy_profile=profile, seed=210)
             verdict = lq.decide(rho, rho)
-            assert verdict.outcome == EQUIVALENT
+            assert verdict.outcome == EQUIVALENT, (n, profile, verdict.reason)
         # the identity pair is always an acceptable certificate
         rho = lq.random_density(2, 3, seed=211)
         assert lq.certify(rho, rho, np.eye(2), np.eye(2)) <= 1e-12
@@ -224,3 +169,95 @@ class TestDecide:
         rng = np.random.default_rng(260)
         out = lq.apply_local_unitary(mm, lq.haar_unitary(2, rng), lq.haar_unitary(2, rng))
         assert lq.decide(mm, out).outcome == EQUIVALENT
+
+    def test_rotated_weyl_bell_diagonal_pair(self):
+        # Every connector word has trace 0 here, so the phases stay unaligned
+        # and the strict null space is empty; the least-violated direction of
+        # the same SVD certifies the pair.
+        rng = np.random.default_rng(270)
+        rho = weyl_bell_diagonal(3, rng.dirichlet(np.ones(9)))
+        rho2 = lq.apply_local_unitary(rho, lq.haar_unitary(3, rng), lq.haar_unitary(3, rng))
+        verdict = lq.decide(rho, rho2)
+        assert verdict.outcome == EQUIVALENT, verdict.reason
+        assert lq.certify(rho, rho2, verdict.certificate.u, verdict.certificate.w) <= 1e-8
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(decider, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(decider, name, counted)
+    return calls
+
+
+class TestCertificateWork:
+    """One SVD per system, and no second certify after a success."""
+
+    def test_nondegenerate_pair_one_svd_one_certify(self, monkeypatch):
+        rho, rho2, _, _ = orbit_pair(3, 4, seed=280)
+        svds = _count_calls(monkeypatch, "nullspace")
+        certifies = _count_calls(monkeypatch, "certify")
+        verdict = lq.decide(rho, rho2)
+        assert verdict.outcome == EQUIVALENT
+        assert (len(svds), len(certifies)) == (1, 1)
+
+    def test_partly_degenerate_pair_one_svd(self, monkeypatch):
+        rho, rho2, _, _ = orbit_pair(3, 4, seed=281, profile=[2, 1, 1])
+        svds = _count_calls(monkeypatch, "nullspace")
+        verdict = lq.decide(rho, rho2)
+        assert verdict.outcome == EQUIVALENT
+        assert len(svds) == 1
+        assert [a["mode"] for a in verdict.details["attempts"]] == ["safe"]
+
+    def test_failing_systems_are_searched_once_each(self, monkeypatch):
+        # no singleton eigenvalue: both systems run and neither certifies;
+        # the relaxed cutoff admits no new direction, so it is not re-searched
+        rho, rho2, _, _ = orbit_pair(2, 2, seed=300, profile=[2])
+        svds = _count_calls(monkeypatch, "nullspace")
+        verdict = lq.decide(rho, rho2)
+        assert verdict.reason == "degenerate-no-certificate"
+        assert len(svds) == 2
+        assert [a["mode"] for a in verdict.details["attempts"]] == ["safe", "full"]
+
+
+def _reference_joint_blocks(sd1, sd2, eps_deg):
+    """Re-chain both spectra at once: merge where either gap is small."""
+    def near(lams, i):
+        scale = max(float(lams[0]), 1.0 / sd1.dim_local ** 2)
+        return lams[i - 1] - lams[i] <= eps_deg * scale
+
+    blocks, current = [], [0]
+    for i in range(1, sd1.rank):
+        if near(sd1.eigenvalues, i) or near(sd2.eigenvalues, i):
+            current.append(i)
+        else:
+            blocks.append(tuple(current))
+            current = [i]
+    blocks.append(tuple(current))
+    return tuple(blocks)
+
+
+class TestJointBlocks:
+    def test_matches_rechaining_with_one_sided_gaps(self):
+        n, rank = 3, 6
+        eps = DEFAULT_TOL.eps_deg
+        rng = np.random.default_rng(290)
+        coeffs = [unit(0, 0, n)] * rank
+        one_sided = 0
+        for _ in range(40):
+            # gaps on either side of eps_deg * scale (scale = top eigenvalue)
+            sds = []
+            for top in (0.3, 0.25):
+                gaps = rng.choice([0.4, 0.9, 1.1, 3.0, 1e4], rank - 1) * eps * top
+                lams = top - np.concatenate([[0.0], np.cumsum(gaps)])
+                sds.append(decomposition_from_coeffs(n, lams, coeffs))
+            sd1, sd2 = sds
+            expected = _reference_joint_blocks(sd1, sd2, eps)
+            assert decider._joint_blocks(sd1, sd2) == expected
+            assert decider._joint_blocks(sd2, sd1) == expected
+            one_sided += expected not in (sd1.blocks, sd2.blocks)
+        assert one_sided > 0

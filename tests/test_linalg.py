@@ -183,44 +183,30 @@ class TestPartialTrace:
             linalg.partial_trace(np.eye(4), "first", 3)
 
 
-class TestTraceInner:
-    def test_identity(self):
-        assert linalg.trace_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-
-    def test_orthogonal_units(self):
-        assert linalg.trace_inner(unit(0, 0), unit(0, 1)) == pytest.approx(0.0)
-
-    def test_positivity_and_realness(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            val = linalg.trace_inner(m, m)
-            assert abs(val.imag) <= 1e-12 * max(1.0, abs(val))
-            assert val.real >= -1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            linalg.trace_inner(np.eye(2), np.eye(3))
+def commutant_system(pairs, dim):
+    """Rows of P X - X Q = 0 acting on the row-major vec of a dim x dim X."""
+    eye = np.eye(dim, dtype=complex)
+    return np.vstack([np.kron(p, eye) - np.kron(eye, np.asarray(q).T) for p, q in pairs])
 
 
 class TestNullspace:
     def test_identity_commutant_is_everything(self):
-        sols = linalg.lstsq_nullspace([(np.eye(2), np.eye(2))], 2, 1e-10)
+        sols = linalg.nullspace(commutant_system([(np.eye(2), np.eye(2))], 2)).basis(1e-10)
         assert len(sols) == 4
 
     def test_distinct_diagonal_commutant(self):
         d = np.diag([1.0, 2.0]).astype(complex)
-        sols = linalg.lstsq_nullspace([(d, d)], 2, 1e-10)
+        sols = linalg.nullspace(commutant_system([(d, d)], 2)).basis(1e-10)
         assert len(sols) == 2
-        for x in sols:
+        for x in sols.reshape(-1, 2, 2):
             assert abs(x[0, 1]) < 1e-10 and abs(x[1, 0]) < 1e-10
 
     def test_irreducible_pair_has_scalar_commutant(self):
         rng = np.random.default_rng(15)
         gens = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
-        sols = linalg.lstsq_nullspace([(g, g) for g in gens], 3, 1e-10)
+        sols = linalg.nullspace(commutant_system([(g, g) for g in gens], 3)).basis(1e-10)
         assert len(sols) == 1
-        x = sols[0]
+        x = sols[0].reshape(3, 3)
         scale = x[0, 0]
         np.testing.assert_allclose(x, scale * np.eye(3), atol=1e-9)
 
@@ -229,4 +215,28 @@ class TestNullspace:
         rng = np.random.default_rng(16)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert linalg.lstsq_nullspace([(a, b)], 2, 1e-10) == []
+        assert linalg.nullspace(commutant_system([(a, b)], 2)).basis(1e-10).shape == (0, 4)
+
+    def test_one_svd_serves_every_cutoff(self):
+        # known singular values 1, 1e-6, 1e-9, 0 behind random unitaries
+        rng = np.random.default_rng(17)
+        q1, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        q2, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        sing = np.zeros((6, 4))
+        sing[:4, :4] = np.diag([1.0, 1e-6, 1e-9, 0.0])
+        m = q1 @ sing @ q2.conj().T
+        null = linalg.nullspace(m)
+        dims = [null.basis(eps).shape[0] for eps in (1e-12, 1e-8, 1e-5, 10.0)]
+        assert dims == [1, 2, 3, 4]
+        # looser cutoffs extend the stricter bases; the last row is least violated
+        np.testing.assert_array_equal(null.basis(1e-5)[1:], null.basis(1e-8))
+        np.testing.assert_array_equal(null.vectors[-1:], null.basis(1e-12))
+        assert np.linalg.norm(m @ null.vectors[-1]) < 1e-12
+        gram = null.vectors @ null.vectors.conj().T
+        np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
+
+    def test_wide_system_keeps_unreached_directions(self):
+        m = np.array([[1.0, 0.0, 0.0]], dtype=complex)
+        sols = linalg.nullspace(m).basis(1e-10)
+        assert sols.shape == (2, 3)
+        np.testing.assert_allclose(np.abs(sols[:, 0]), 0.0, atol=1e-14)
