@@ -64,6 +64,7 @@ def main() -> int:
                 "pair": idx,
                 "orbit": is_orbit,
                 "verdict": verdict.outcome,
+                "reason": verdict.reason,
                 "witness": verdict.witness.key if verdict.witness else None,
                 "oracle_distance": oracle.best_distance,
                 "oracle_converged": oracle.converged,

@@ -24,14 +24,29 @@ state, for example).
 Up to two systems are tried, each with one SVD.  Its null space is
 searched at eps_null, and again at eps_null * retry_relax only when the
 looser cutoff admits more directions.  The first system is remix-robust:
-generator equations among the singleton eigenvectors, block-sum
-equations for each degeneracy block, and the linking equations.  When
-every block is a singleton it is the whole per-index system.  Only when a
-block is degenerate and the first system fails is the per-index system
-over all eigenvectors tried; it relies on both eigensolvers picking
-matching bases inside each block, which is what certifies a state
-against itself when no eigenvalue is a singleton.  If both fail, the
-verdict is an explicit Inconclusive rather than a guess.
+block-sum equations for each degeneracy block and the linking equations
+of every singleton eigenvector.  When every block is a singleton it is
+the whole per-index system.  Only when a block is degenerate and the
+first system fails is the per-index system tried: the generator
+equations A_i A_j^dagger X = X A'_i A'_j^dagger and
+A_i^dagger A_j Y = Y A'_i^dagger A'_j for every index pair that touches
+a degenerate block, plus the same linking equations.  It relies on both
+eigensolvers picking matching bases inside each block, which is what
+certifies a state against itself when no eigenvalue is a singleton.  If
+both fail, the verdict is an explicit Inconclusive rather than a guess.
+
+Neither system holds the generator equations of two singletons i and j,
+because the linking equations imply them.  With the linking residuals
+E = A_i Y - X A'_i and F = A_j^dagger X - Y A'_j^dagger,
+
+    A_i A_j^dagger X - X A'_i A'_j^dagger = A_i F + E A'_j^dagger,
+    A_i^dagger A_j Y - Y A'_i^dagger A'_j
+        = A_i^dagger (A_j Y - X A'_j) + (A_i^dagger X - Y A'_i^dagger) A'_j,
+
+so those rows lie in the row span of the linking rows and leave the null
+space unchanged; only the relative SVD cutoff sees a different largest
+singular value.  A nondegenerate rank-r pair thus solves 2 r N^2
+equations in 2 N^2 unknowns instead of 2 r^2 N^2 + 2 r N^2.
 """
 
 from __future__ import annotations
@@ -138,13 +153,16 @@ def _word_net(word: Word) -> dict[int, int]:
 
 
 def _connector_candidates(i: int, j: int, singles: Sequence[int]):
-    """Short words whose net phase weight is theta_i - theta_j (1-based)."""
-    yield Word("L", ((i, j),))
-    yield Word("R", ((j, i),))
+    """Short words whose net phase weight is theta_i - theta_j (1-based).
+
+    The one-letter words L((i,j)) and R((j,i)) are left out: their trace
+    is the inner product of two orthonormal eigenvectors, always 0.  So is
+    R((k,i),(j,k)), whose trace equals that of L((i,j),(k,k)) by
+    cyclicity.
+    """
     for k in singles:
         yield Word("L", ((i, k), (k, j)))
         yield Word("L", ((i, j), (k, k)))
-        yield Word("R", ((k, i), (j, k)))
     for k in singles:
         for l in singles:
             yield Word("L", ((i, k), (k, l), (l, j)))
@@ -254,12 +272,14 @@ def _certificate_system(
     singles = set(b[0] for b in blocks if len(b) == 1)
     a1 = sd1.coeff_matrices
     rows: list[np.ndarray] = []
-    indices = range(sd1.rank) if mode == "full" else sorted(singles)
-    for i in indices:
-        for j in indices:
-            rows.append(_pair_rows(a1[i] @ dagger(a1[j]), coeffs2[i] @ dagger(coeffs2[j]), n, 0))
-            rows.append(_pair_rows(dagger(a1[i]) @ a1[j], dagger(coeffs2[i]) @ coeffs2[j], n, 1))
-    if mode != "full":
+    if mode == "full":
+        for i in range(sd1.rank):
+            for j in range(sd1.rank):
+                if i in singles and j in singles:
+                    continue  # implied by the coupling rows of i and j
+                rows.append(_pair_rows(a1[i] @ dagger(a1[j]), coeffs2[i] @ dagger(coeffs2[j]), n, 0))
+                rows.append(_pair_rows(dagger(a1[i]) @ a1[j], dagger(coeffs2[i]) @ coeffs2[j], n, 1))
+    else:
         for block in blocks:
             if len(block) == 1:
                 continue

@@ -9,6 +9,7 @@ from luequiv.config import DEFAULT_TOL
 from luequiv.decider import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT
 from luequiv.errors import DimensionMismatch, NotUnitary
 from luequiv.invariants import Word, cycle_type_representatives
+from luequiv.linalg import dagger
 from luequiv.states import decomposition_from_coeffs
 
 from conftest import orbit_pair, unit, weyl_bell_diagonal
@@ -80,6 +81,31 @@ class TestGaugeAlignment:
         for i, j in [(1, 2), (1, 3), (2, 3)]:
             for cand in _connector_candidates(i, j, singles):
                 assert _word_net(cand) == {i: 1, j: -1}
+
+    def test_dropped_connector_words_have_redundant_traces(self):
+        # L((i,j)) and R((j,i)) pair two orthonormal eigenvectors, and
+        # R((k,i),(j,k)) is a cyclic rotation of L((i,j),(k,k))
+        for n, rank, seed in [(2, 3, 285), (3, 5, 286)]:
+            sd = lq.spectral_decompose(lq.random_density(n, rank, seed=seed))
+            ones = range(1, rank + 1)
+            for i in ones:
+                for j in ones:
+                    if i != j:
+                        assert abs(lq.word_trace(sd, Word("L", ((i, j),)))) < 1e-12
+                        assert abs(lq.word_trace(sd, Word("R", ((j, i),)))) < 1e-12
+                    for k in ones:
+                        rot = lq.word_trace(sd, Word("R", ((k, i), (j, k))))
+                        assert abs(rot - lq.word_trace(sd, Word("L", ((i, j), (k, k))))) < 1e-12
+
+    def test_connectors_skip_zero_trace_words(self, monkeypatch):
+        rho, rho2, _, _ = orbit_pair(3, 4, seed=280)
+        traces = _count_calls(monkeypatch, "word_trace")
+        verdict = lq.decide(rho, rho2)
+        assert verdict.outcome == EQUIVALENT
+        # one candidate per singleton pair (6, the first one pins the phase)
+        # plus one per spanning-tree edge measured on the second state (3);
+        # the parent tried two zero-trace words first: 21 calls
+        assert len(traces) == 9
 
     def test_certificate_details_record_attempts(self):
         rho, rho2, _, _ = orbit_pair(2, 3, seed=275)
@@ -222,6 +248,99 @@ class TestCertificateWork:
         assert verdict.reason == "degenerate-no-certificate"
         assert len(svds) == 2
         assert [a["mode"] for a in verdict.details["attempts"]] == ["safe", "full"]
+
+
+def _full_rank_orbit_pair(n, seed):
+    """A full-rank state with well-separated eigenvalues and its LU image
+    (``random_density`` cannot space N^2 Dirichlet weights at N >= 6)."""
+    rng = np.random.default_rng(seed)
+    nn = n * n
+    lams = np.sort(np.arange(1, nn + 1) + rng.uniform(0, 0.5, nn))[::-1]
+    basis = lq.haar_unitary(nn, rng)
+    rho = lq.validate_density((basis * (lams / lams.sum())) @ dagger(basis), n)
+    return rho, lq.apply_local_unitary(rho, lq.haar_unitary(n, rng), lq.haar_unitary(n, rng))
+
+
+def _record_systems(monkeypatch):
+    shapes = []
+    inner = decider._certificate_system
+
+    def recorded(*args):
+        system = inner(*args)
+        shapes.append(system.shape)
+        return system
+
+    monkeypatch.setattr(decider, "_certificate_system", recorded)
+    return shapes
+
+
+def _row_space_residual(p, c):
+    """||P - P C+ C|| / ||P||: how far the rows of P lie from the row span of C."""
+    _, s, vh = np.linalg.svd(c, full_matrices=False)
+    span = vh[s > 1e-10 * s[0]]
+    return np.linalg.norm(p - p @ dagger(span) @ span) / np.linalg.norm(p)
+
+
+class TestCertificateSystem:
+    """Pair rows between two singletons are implied by their coupling rows,
+    so a system holds 2 rank N^2 coupling rows, plus pair rows only where
+    an index lies in a degenerate block."""
+
+    def test_nondegenerate_n6_shape(self):
+        rho, _ = _full_rank_orbit_pair(6, 46)
+        sd = lq.spectral_decompose(rho)
+        assert len(sd.blocks) == 36
+        system = decider._certificate_system(sd, list(sd.coeff_matrices), sd.blocks, "safe")
+        assert system.shape == (2 * 36 * 36, 72)  # parent: 95,904 rows
+
+    def test_full_rank_n8_pair_decides(self, monkeypatch):
+        rho, rho2 = _full_rank_orbit_pair(8, 48)
+        shapes = _record_systems(monkeypatch)
+        verdict = lq.decide(rho, rho2)
+        assert verdict.outcome == EQUIVALENT, verdict.reason
+        assert shapes == [(8192, 128)]
+        assert lq.certify(rho, rho2, verdict.certificate.u, verdict.certificate.w) <= 1e-8
+
+    def test_partly_degenerate_safe_system_has_no_pair_rows(self, monkeypatch):
+        rho, rho2, _, _ = orbit_pair(3, 4, seed=281, profile=[2, 1, 1])
+        shapes = _record_systems(monkeypatch)
+        assert lq.decide(rho, rho2).outcome == EQUIVALENT
+        # one block sum on each side (2 x 9) and two singletons' coupling rows (4 x 9)
+        assert shapes == [(54, 18)]
+        sd = lq.spectral_decompose(rho)
+        full = decider._certificate_system(sd, list(sd.coeff_matrices), sd.blocks, "full")
+        # "full" keeps the pair rows of the 12 of 16 index pairs that touch the block
+        assert full.shape == (12 * 2 * 9 + 4 * 9, 18)
+
+    def test_singleton_pair_rows_lie_in_the_coupling_row_span(self):
+        n = 3
+        rng = np.random.default_rng(287)
+        u, w = lq.haar_unitary(n, rng), lq.haar_unitary(n, rng)
+        a1, a2 = [], []
+        for _ in range(3):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a1.append(a / np.linalg.norm(a))
+            a2.append(u @ a1[-1] @ w)
+        coupling = np.vstack([r for a, b in zip(a1, a2) for r in decider._coupling_rows(a, b, n)])
+        # (X, Y) = (U^dag, W) solves the coupling rows: C is rank deficient
+        assert np.linalg.matrix_rank(coupling, tol=1e-10) < 2 * n * n
+        known = np.concatenate([dagger(u).reshape(-1), w.reshape(-1)])
+        assert np.linalg.norm(coupling @ known) < 1e-12
+        pairs = []
+        for i in range(3):
+            for j in range(3):
+                pairs.append(decider._pair_rows(a1[i] @ dagger(a1[j]), a2[i] @ dagger(a2[j]), n, 0))
+                pairs.append(decider._pair_rows(dagger(a1[i]) @ a1[j], dagger(a2[i]) @ a2[j], n, 1))
+                assert _row_space_residual(pairs[-2], coupling) <= 1e-10
+                assert _row_space_residual(pairs[-1], coupling) <= 1e-10
+        # not the other way round: the pair rows leave directions free that
+        # the coupling rows fix
+        assert _row_space_residual(coupling, np.vstack(pairs)) > 1e-3
+        # the system keeps the coupling rows and so has their null space
+        sd1 = decomposition_from_coeffs(n, [0.5, 0.3, 0.2], a1)
+        system = decider._certificate_system(sd1, a2, ((0,), (1,), (2,)), "safe")
+        assert np.linalg.matrix_rank(system, tol=1e-10) == np.linalg.matrix_rank(coupling, tol=1e-10)
+        assert np.linalg.norm(system @ known) < 1e-12
 
 
 def _reference_joint_blocks(sd1, sd2, eps_deg):
