@@ -1,12 +1,18 @@
 """Equivalence decision pipeline with explicit certificates.
 
-``decide`` compares two density matrices in stages: power traces first,
-then the phase-robust invariant signature, and finally an attempted
+``decide`` compares two density matrices in stages, cheapest first:
+power traces, the invariant signature up to word length 2, an attempted
 reconstruction of local unitaries (u, w) such that conjugating the first
-state by u^dagger (x) (w*)^dagger yields the second.  Any claimed
-equivalence is backed by a direct Frobenius-norm residual, which is
-insensitive to every gauge freedom of the spectral decompositions, so a
-returned certificate is its own proof.
+state by u^dagger (x) (w*)^dagger yields the second, and, only when that
+fails, the signature at length 3 and then at the full word-length cap.
+Any claimed equivalence is backed by a direct Frobenius-norm residual,
+which is insensitive to every gauge freedom of the spectral
+decompositions, so a returned certificate is its own proof and needs no
+further invariant.  The longer words (O(r^3) of length 3 for r
+singleton eigenvectors) serve only to name a witness for a pair that no
+certificate maps onto each other.  The O(r^2) words of length at most 2
+cost less than the 2 r N^2 x 2 N^2 certificate system, so they still
+come first and reject most inequivalent pairs before any system is built.
 
 Certificate search.  Eigendecompositions fix eigenvectors only up to a
 phase (and up to remixing inside degeneracy blocks), while the word-level
@@ -140,18 +146,6 @@ def _nonsingular(m: np.ndarray, eps_det: float) -> bool:
 # gauge alignment
 
 
-def _word_net(word: Word) -> dict[int, int]:
-    net: dict[int, int] = {}
-    sign = 1 if word.side == "L" else -1
-    for i, j in word.letters:
-        net[i] = net.get(i, 0) + sign
-        net[j] = net.get(j, 0) - sign
-        for k in {i, j}:
-            if net.get(k) == 0:
-                del net[k]
-    return net
-
-
 def _connector_candidates(i: int, j: int, singles: Sequence[int]):
     """Short words whose net phase weight is theta_i - theta_j (1-based).
 
@@ -168,26 +162,19 @@ def _connector_candidates(i: int, j: int, singles: Sequence[int]):
             yield Word("L", ((i, k), (k, l), (l, j)))
 
 
-def _find_connectors(
-    sd: SpectralDecomposition, singles: Sequence[int]
-) -> dict[tuple[int, int], tuple[Word, complex]]:
-    """For each singleton pair, a word trace that pins the relative phase."""
-    out: dict[tuple[int, int], tuple[Word, complex]] = {}
-    ones = [p + 1 for p in singles]
-    for a in range(len(ones)):
-        for b in range(a + 1, len(ones)):
-            i, j = ones[a], ones[b]
-            best: tuple[Word, complex] | None = None
-            for cand in _connector_candidates(i, j, ones):
-                val = word_trace(sd, cand)
-                if abs(val) > _CONNECTOR_FLOOR:
-                    if best is None or abs(val) > abs(best[1]):
-                        best = (cand, val)
-                    if abs(val) > 1e-2:
-                        break
-            if best is not None:
-                out[(singles[a], singles[b])] = best
-    return out
+def _connector(
+    sd: SpectralDecomposition, p: int, q: int, ones: Sequence[int]
+) -> tuple[Word, complex] | None:
+    """A word whose trace on sd pins theta_p - theta_q (0-based, p < q)."""
+    best: tuple[Word, complex] | None = None
+    for cand in _connector_candidates(p + 1, q + 1, ones):
+        val = word_trace(sd, cand)
+        if abs(val) > _CONNECTOR_FLOOR:
+            if best is None or abs(val) > abs(best[1]):
+                best = (cand, val)
+            if abs(val) > 1e-2:
+                break
+    return best
 
 
 def _align_phases(
@@ -200,32 +187,32 @@ def _align_phases(
 
     Connector words are measured on both states; the phase of the ratio is
     the relative gauge, propagated over a spanning forest of the connector
-    graph.  Components never linked by a nonzero connector are invariant-
-    decoupled and keep their arbitrary phase.
+    graph.  The forest is grown breadth first, visiting singletons in
+    ascending order, and a pair's connector is searched on sd1 only when
+    the walk reaches the pair with one end still unlinked: s - 1 searches
+    when the first singleton links to every other one.  Components never
+    linked by a nonzero connector are invariant-decoupled and keep their
+    arbitrary phase.
     """
     coeffs = [np.array(a) for a in sd2.coeff_matrices]
     info: dict = {"edges": 0, "magnitude_mismatch": False}
-    if len(singles) < 2:
-        return coeffs, info
-    connectors = _find_connectors(sd1, singles)
-    if not connectors:
-        return coeffs, info
-    adj: dict[int, list[tuple[int, int, int]]] = {p: [] for p in singles}
-    for (p, q), _ in connectors.items():
-        adj[p].append((q, p, q))
-        adj[q].append((p, p, q))
-    psi = {p: None for p in singles}
+    ones = [p + 1 for p in singles]
+    psi: dict[int, float] = {}
     for root in singles:
-        if psi[root] is not None:
+        if root in psi:
             continue
         psi[root] = 0.0
         queue = [root]
         while queue:
             cur = queue.pop(0)
-            for nxt, p, q in adj[cur]:
-                if psi[nxt] is not None:
+            for nxt in singles:
+                if nxt in psi:
                     continue
-                word, t1 = connectors[(p, q)]
+                p, q = min(cur, nxt), max(cur, nxt)
+                connector = _connector(sd1, p, q, ones)
+                if connector is None:
+                    continue
+                word, t1 = connector
                 t2 = word_trace(sd2, word)
                 if not values_close(abs(t1), abs(t2), 10 * tol.eps_inv):
                     info["magnitude_mismatch"] = True
@@ -399,7 +386,14 @@ def decide(
     rho1: DensityMatrix, rho2: DensityMatrix, tol: Tolerances = DEFAULT_TOL
 ) -> EquivalenceVerdict:
     """Full decision pipeline; every Equivalent verdict carries a verified
-    certificate and every NotEquivalent verdict a named invariant witness."""
+    certificate and every NotEquivalent verdict a named invariant witness.
+
+    Stages run cheapest first: power traces, the signature up to word
+    length 2, one certificate attempt, then the signature at length 3 and
+    at ``tol.effective_tau_cap``.  A pair that agrees through length 2 and
+    certifies is equivalent whatever its longer words; the longer words are
+    evaluated only to find a witness once the certificate has failed.
+    """
     if rho1.dim_local != rho2.dim_local:
         raise DimensionMismatch("states live on different local dimensions")
     nn = rho1.dim_local ** 2
@@ -421,24 +415,19 @@ def decide(
             )
         blocks = _joint_blocks(sd1, sd2)
         cap = tol.effective_tau_cap(rho1.dim_local)
-        shallow = min(3, cap)
-        sig1 = fingerprint_from_decomposition(sd1, js1, tol, blocks=blocks, tau_cap=shallow)
-        sig2 = fingerprint_from_decomposition(sd2, js2, tol, blocks=blocks, tau_cap=shallow)
-        mismatch = compare_signatures(sig1, sig2, tol.eps_inv)
-        if mismatch is not None:
-            return _witness_verdict(mismatch)
-        certificate, details = _attempt_certificate(rho1, rho2, sd1, sd2, blocks, tol)
-        if certificate is not None:
-            return EquivalenceVerdict(
-                outcome=EQUIVALENT, certificate=certificate,
-                reason="certificate", details=details,
-            )
-        if cap > shallow:
-            sig1 = fingerprint_from_decomposition(sd1, js1, tol, blocks=blocks, tau_cap=cap)
-            sig2 = fingerprint_from_decomposition(sd2, js2, tol, blocks=blocks, tau_cap=cap)
+        for rung, tau in enumerate(sorted({min(2, cap), min(3, cap), cap})):
+            sig1 = fingerprint_from_decomposition(sd1, js1, tol, blocks=blocks, tau_cap=tau)
+            sig2 = fingerprint_from_decomposition(sd2, js2, tol, blocks=blocks, tau_cap=tau)
             mismatch = compare_signatures(sig1, sig2, tol.eps_inv)
             if mismatch is not None:
                 return _witness_verdict(mismatch)
+            if rung == 0:
+                certificate, details = _attempt_certificate(rho1, rho2, sd1, sd2, blocks, tol)
+                if certificate is not None:
+                    return EquivalenceVerdict(
+                        outcome=EQUIVALENT, certificate=certificate,
+                        reason="certificate", details=details,
+                    )
     except DimensionMismatch:
         raise
     except LuequivError as exc:

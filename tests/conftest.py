@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 import luequiv as lq
+import luequiv.decider as decider
+from luequiv.invariants import Word, cycle_type_representatives
 from luequiv.states import decomposition_from_coeffs
 
 
@@ -69,3 +73,45 @@ def orbit_pair(n: int, rank: int, seed: int, profile=None):
     u1 = lq.haar_unitary(n, rng)
     u2 = lq.haar_unitary(n, rng)
     return rho, lq.apply_local_unitary(rho, u1, u2), u1, u2
+
+
+def recompute_witness(rho_a, rho_b, witness):
+    """Recompute a named invariant from scratch on both inputs."""
+    if witness.kind == "power_trace":
+        s = int(witness.key.split("^")[1])
+        return (
+            complex(lq.power_traces(rho_a)[s - 1]),
+            complex(lq.power_traces(rho_b)[s - 1]),
+        )
+    sd_a, sd_b = lq.spectral_decompose(rho_a), lq.spectral_decompose(rho_b)
+    if witness.kind == "balanced_word":
+        side, body = witness.key.split(":", 1)
+        letters = tuple(
+            (int(i), int(j)) for i, j in re.findall(r"\((\d+),(\d+)\)", body)
+        )
+        word = Word(side, letters)
+        return lq.word_trace(sd_a, word), lq.word_trace(sd_b, word)
+    if witness.kind == "block_invariant":
+        m = re.match(r"([LR]):block\(([\d,]+)\):len(\d+):type\(([\d,]+)\)", witness.key)
+        side, ids, tau, ctype = m.groups()
+        block = tuple(int(x) - 1 for x in ids.split(","))
+        ctype = tuple(int(x) for x in ctype.split(","))
+        perm = dict(cycle_type_representatives(int(tau)))[ctype]
+        return (
+            lq.block_invariant(sd_a, block, perm, side),
+            lq.block_invariant(sd_b, block, perm, side),
+        )
+    raise AssertionError(f"unknown witness kind {witness.kind}")
+
+
+def count_calls(monkeypatch, name):
+    """Record each call ``decide`` makes through ``luequiv.decider.<name>``."""
+    calls = []
+    inner = getattr(decider, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(decider, name, counted)
+    return calls

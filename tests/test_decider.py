@@ -1,4 +1,4 @@
-import re
+import math
 
 import numpy as np
 import pytest
@@ -8,40 +8,11 @@ import luequiv.decider as decider
 from luequiv.config import DEFAULT_TOL
 from luequiv.decider import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT
 from luequiv.errors import DimensionMismatch, NotUnitary
-from luequiv.invariants import Word, cycle_type_representatives
+from luequiv.invariants import Word, values_close
 from luequiv.linalg import dagger
 from luequiv.states import decomposition_from_coeffs
 
-from conftest import orbit_pair, unit, weyl_bell_diagonal
-
-
-def recompute_witness(rho_a, rho_b, witness):
-    """Recompute a named invariant from scratch on both inputs."""
-    if witness.kind == "power_trace":
-        s = int(witness.key.split("^")[1])
-        return (
-            complex(lq.power_traces(rho_a)[s - 1]),
-            complex(lq.power_traces(rho_b)[s - 1]),
-        )
-    sd_a, sd_b = lq.spectral_decompose(rho_a), lq.spectral_decompose(rho_b)
-    if witness.kind == "balanced_word":
-        side, body = witness.key.split(":", 1)
-        letters = tuple(
-            (int(i), int(j)) for i, j in re.findall(r"\((\d+),(\d+)\)", body)
-        )
-        word = Word(side, letters)
-        return lq.word_trace(sd_a, word), lq.word_trace(sd_b, word)
-    if witness.kind == "block_invariant":
-        m = re.match(r"([LR]):block\(([\d,]+)\):len(\d+):type\(([\d,]+)\)", witness.key)
-        side, ids, tau, ctype = m.groups()
-        block = tuple(int(x) - 1 for x in ids.split(","))
-        ctype = tuple(int(x) for x in ctype.split(","))
-        perm = dict(cycle_type_representatives(int(tau)))[ctype]
-        return (
-            lq.block_invariant(sd_a, block, perm, side),
-            lq.block_invariant(sd_b, block, perm, side),
-        )
-    raise AssertionError(f"unknown witness kind {witness.kind}")
+from conftest import count_calls, orbit_pair, recompute_witness, unit, weyl_bell_diagonal
 
 
 class TestCertify:
@@ -73,13 +44,69 @@ class TestCertify:
             lq.certify(rho, rho, 2 * np.eye(2), np.eye(2))
 
 
+def _word_net(word: Word) -> dict[int, int]:
+    """Net phase weight of a word: +1 per row index, -1 per column index
+    on the left (the other way round on the right), zeros dropped."""
+    net: dict[int, int] = {}
+    sign = 1 if word.side == "L" else -1
+    for i, j in word.letters:
+        net[i] = net.get(i, 0) + sign
+        net[j] = net.get(j, 0) - sign
+        for k in {i, j}:
+            if net.get(k) == 0:
+                del net[k]
+    return net
+
+
+def _all_pairs_alignment(sd1, sd2, singles, tol):
+    """Reference walk: search a connector for every singleton pair first,
+    then grow the spanning forest over that graph breadth first."""
+    ones = [p + 1 for p in singles]
+    connectors = {}
+    for a, p in enumerate(singles):
+        for q in singles[a + 1:]:
+            found = decider._connector(sd1, p, q, ones)
+            if found is not None:
+                connectors[p, q] = found
+    adj = {p: [] for p in singles}
+    for p, q in connectors:
+        adj[p].append(q)
+        adj[q].append(p)
+    coeffs = [np.array(a) for a in sd2.coeff_matrices]
+    info = {"edges": 0, "magnitude_mismatch": False}
+    psi = {}
+    for root in singles:
+        if root in psi:
+            continue
+        psi[root] = 0.0
+        queue = [root]
+        while queue:
+            cur = queue.pop(0)
+            for nxt in adj[cur]:
+                if nxt in psi:
+                    continue
+                p, q = min(cur, nxt), max(cur, nxt)
+                word, t1 = connectors[p, q]
+                t2 = lq.word_trace(sd2, word)
+                if not values_close(abs(t1), abs(t2), 10 * tol.eps_inv):
+                    info["magnitude_mismatch"] = True
+                if abs(t2) <= decider._CONNECTOR_FLOOR:
+                    continue
+                delta = math.atan2((t2 / t1).imag, (t2 / t1).real)
+                psi[nxt] = psi[cur] + delta if nxt == q else psi[cur] - delta
+                info["edges"] += 1
+                queue.append(nxt)
+    for p in singles:
+        if psi[p]:
+            coeffs[p] = np.exp(1j * psi[p]) * coeffs[p]
+    return coeffs, info
+
+
 class TestGaugeAlignment:
     def test_connector_candidates_carry_the_right_phase_weight(self):
-        from luequiv.decider import _connector_candidates, _word_net
-
         singles = [1, 2, 3]
         for i, j in [(1, 2), (1, 3), (2, 3)]:
-            for cand in _connector_candidates(i, j, singles):
+            for cand in decider._connector_candidates(i, j, singles):
                 assert _word_net(cand) == {i: 1, j: -1}
 
     def test_dropped_connector_words_have_redundant_traces(self):
@@ -99,13 +126,63 @@ class TestGaugeAlignment:
 
     def test_connectors_skip_zero_trace_words(self, monkeypatch):
         rho, rho2, _, _ = orbit_pair(3, 4, seed=280)
-        traces = _count_calls(monkeypatch, "word_trace")
+        traces = count_calls(monkeypatch, "word_trace")
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT
-        # one candidate per singleton pair (6, the first one pins the phase)
-        # plus one per spanning-tree edge measured on the second state (3);
-        # the parent tried two zero-trace words first: 21 calls
-        assert len(traces) == 9
+        # the walk searches a connector on the first state only for the
+        # pairs it reaches, here the star from singleton 1 (3; the first
+        # candidate pins each phase), and measures each on the second (3)
+        assert len(traces) == 6
+
+    def test_lazy_walk_matches_the_all_pairs_walk(self):
+        pairs = [orbit_pair(n, rank, seed=288 + rank)[:2]
+                 for n, rank in [(2, 3), (2, 4), (3, 4), (3, 9), (4, 5), (4, 16)]]
+        pairs.append(orbit_pair(3, 4, seed=281, profile=[2, 1, 1])[:2])
+        # dark connectors: every candidate traces to 0 on these states
+        weights = (0.4, 0.3, 0.2, 0.1)
+        bell = weyl_bell_diagonal(2, weights)
+        for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)):
+            pairs.append((bell, weyl_bell_diagonal(2, [weights[k] for k in perm])))
+        rng = np.random.default_rng(270)
+        rho = weyl_bell_diagonal(3, rng.dirichlet(np.ones(9)))
+        pairs.append(
+            (rho, lq.apply_local_unitary(rho, lq.haar_unitary(3, rng), lq.haar_unitary(3, rng)))
+        )
+        edges = []
+        for rho1, rho2 in pairs:
+            sd1, sd2 = lq.spectral_decompose(rho1), lq.spectral_decompose(rho2)
+            singles = [b[0] for b in decider._joint_blocks(sd1, sd2) if len(b) == 1]
+            coeffs, info = decider._align_phases(sd1, sd2, singles, DEFAULT_TOL)
+            ref_coeffs, ref_info = _all_pairs_alignment(sd1, sd2, singles, DEFAULT_TOL)
+            assert info == ref_info
+            assert all(np.array_equal(a, b) for a, b in zip(coeffs, ref_coeffs))
+            edges.append(info["edges"])
+        assert edges[:7] == [2, 3, 3, 8, 4, 15, 1]  # a spanning tree each
+        assert edges[7:] == [0] * 5
+
+    def test_lazy_walk_reaches_a_singleton_through_a_later_edge(self):
+        # A_1 = E_00 and A_4 = E_11 have orthogonal supports on both sides,
+        # so every connector of (1, 4) traces to 0: the walk reaches 2 and 3
+        # from 1, and 4 from 2, not from 3
+        n = 3
+        rng = np.random.default_rng(289)
+        a1 = [unit(0, 0, n)]
+        for _ in range(2):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            m[0, 0] = m[1, 1] = 0
+            a1.append(m / np.linalg.norm(m))
+        a1.append(unit(1, 1, n))
+        a2 = []
+        for m in a1:
+            m = np.exp(2j * np.pi * rng.random()) * (m + 0.05 * rng.standard_normal((n, n)))
+            a2.append(m / np.linalg.norm(m))
+        lams = [0.4, 0.3, 0.2, 0.1]
+        sd1, sd2 = decomposition_from_coeffs(n, lams, a1), decomposition_from_coeffs(n, lams, a2)
+        assert decider._connector(sd1, 0, 3, [1, 2, 3, 4]) is None
+        coeffs, info = decider._align_phases(sd1, sd2, [0, 1, 2, 3], DEFAULT_TOL)
+        ref_coeffs, ref_info = _all_pairs_alignment(sd1, sd2, [0, 1, 2, 3], DEFAULT_TOL)
+        assert info == ref_info and info["edges"] == 3
+        assert all(np.array_equal(a, b) for a, b in zip(coeffs, ref_coeffs))
 
     def test_certificate_details_record_attempts(self):
         rho, rho2, _, _ = orbit_pair(2, 3, seed=275)
@@ -208,32 +285,20 @@ class TestDecide:
         assert lq.certify(rho, rho2, verdict.certificate.u, verdict.certificate.w) <= 1e-8
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
-    inner = getattr(decider, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(decider, name, counted)
-    return calls
-
-
 class TestCertificateWork:
     """One SVD per system, and no second certify after a success."""
 
     def test_nondegenerate_pair_one_svd_one_certify(self, monkeypatch):
         rho, rho2, _, _ = orbit_pair(3, 4, seed=280)
-        svds = _count_calls(monkeypatch, "nullspace")
-        certifies = _count_calls(monkeypatch, "certify")
+        svds = count_calls(monkeypatch, "nullspace")
+        certifies = count_calls(monkeypatch, "certify")
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT
         assert (len(svds), len(certifies)) == (1, 1)
 
     def test_partly_degenerate_pair_one_svd(self, monkeypatch):
         rho, rho2, _, _ = orbit_pair(3, 4, seed=281, profile=[2, 1, 1])
-        svds = _count_calls(monkeypatch, "nullspace")
+        svds = count_calls(monkeypatch, "nullspace")
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT
         assert len(svds) == 1
@@ -243,7 +308,7 @@ class TestCertificateWork:
         # no singleton eigenvalue: both systems run and neither certifies;
         # the relaxed cutoff admits no new direction, so it is not re-searched
         rho, rho2, _, _ = orbit_pair(2, 2, seed=300, profile=[2])
-        svds = _count_calls(monkeypatch, "nullspace")
+        svds = count_calls(monkeypatch, "nullspace")
         verdict = lq.decide(rho, rho2)
         assert verdict.reason == "degenerate-no-certificate"
         assert len(svds) == 2
