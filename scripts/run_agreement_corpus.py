@@ -65,6 +65,10 @@ def main() -> int:
                 "orbit": is_orbit,
                 "verdict": verdict.outcome,
                 "reason": verdict.reason,
+                "stage": next(
+                    (a["mode"] for a in verdict.details.get("attempts", []) if a["success"]),
+                    None,
+                ),
                 "witness": verdict.witness.key if verdict.witness else None,
                 "oracle_distance": oracle.best_distance,
                 "oracle_converged": oracle.converged,

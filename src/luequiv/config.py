@@ -23,14 +23,13 @@ class Tolerances:
     eps_det: float = 1e-12        # nonsingularity floor (Gram dets, certificate X and Y)
     eps_indep: float = 1e-8       # relative admission threshold in algebra closure
     eps_span: float = 1e-8        # residual for basis-expansion membership
-    eps_null: float = 1e-8        # relative singular-value cutoff for null spaces
+    eps_null: float = 1e-8        # singular-value cutoff for null spaces, relative to a scale
     eps_unitary: float = 1e-10    # unitarity check on supplied matrices
     eps_oracle: float = 1e-6      # convergence threshold of the brute-force oracle
     tau_cap: int | None = None    # max word length; None -> min(N^2, 6)
     word_eval_limit: int = 1_000_000   # hard cap on word evaluations per signature
     null_space_draws: int = 64    # random combinations tried per null space
     search_seed: int = 1789       # fixed seed for the null-space search
-    retry_relax: float = 100.0    # relaxation factor for the certificate retry
 
     def effective_tau_cap(self, dim_local: int) -> int:
         if self.tau_cap is not None:

@@ -11,38 +11,48 @@ decompositions, so a returned certificate is its own proof and needs no
 further invariant.  The longer words (O(r^3) of length 3 for r
 singleton eigenvectors) serve only to name a witness for a pair that no
 certificate maps onto each other.  The O(r^2) words of length at most 2
-cost less than the 2 r N^2 x 2 N^2 certificate system, so they still
-come first and reject most inequivalent pairs before any system is built.
+cost less than a certificate system, so they still come first and reject
+most inequivalent pairs before any system is built.
 
 Certificate search.  Eigendecompositions fix eigenvectors only up to a
-phase (and up to remixing inside degeneracy blocks), while the word-level
-intertwiner equations are phase sensitive.  The pipeline therefore first
-aligns the second state's eigenvector phases against the first using
-connector words (short words whose trace pins one relative phase), then
-solves a homogeneous linear system for a pair (X, Y): X intertwines the
-left word generators, Y the right ones, and the linking equations
-A_i Y = X A'_i and A_i^dagger X = Y A'_i^dagger couple the two sides so
-that the unitary polar parts of X and Y form a consistent certificate.
-Solving for the sides independently would leave them coupled only through
-luck whenever the generator family has a nontrivial commutant (any pure
-state, for example).
+phase, and up to remixing inside degeneracy blocks.  Under
+rho2 = (U1 (x) U2) rho1 (U1 (x) U2)^dagger the coefficient matrices move
+as A'_i = U1 A_i U2^T up to those gauges, so the block sums
 
-Up to two systems are tried, each with one SVD.  Its null space is
-searched at eps_null, and again at eps_null * retry_relax only when the
-looser cutoff admits more directions.  The first system is remix-robust:
-block-sum equations for each degeneracy block and the linking equations
-of every singleton eigenvector.  When every block is a singleton it is
-the whole per-index system.  Only when a block is degenerate and the
-first system fails is the per-index system tried: the generator
-equations A_i A_j^dagger X = X A'_i A'_j^dagger and
-A_i^dagger A_j Y = Y A'_i^dagger A'_j for every index pair that touches
-a degenerate block, plus the same linking equations.  It relies on both
-eigensolvers picking matching bases inside each block, which is what
-certifies a state against itself when no eigenvalue is a singleton.  If
-both fail, the verdict is an explicit Inconclusive rather than a guess.
+    H_b = sum_{p in b} A_p A_p^dagger,    K_b = sum_{p in b} A_p^dagger A_p
 
-Neither system holds the generator equations of two singletons i and j,
-because the linking equations imply them.  With the linking residuals
+are gauge-free covariant local operators: H'_b = U1 H_b U1^dagger and
+K'_b = conj(U2) K_b U2^T.  The search looks for a pair (X, Y) whose
+unitary polar parts (u, w) pass ``certify``; (U1^dagger, U2^T) is one.
+
+1. Identity.  u = w = 1 is tried with one ``certify`` call first.  It
+   certifies a state against itself whatever its degeneracies.
+2. Product system.  S_A = {X : H_b X = X H'_b for every block b} and
+   S_B = {Y : K_b Y = Y K'_b} each come from one SVD, with a cutoff
+   relative to the families' norm: when every H_b is a multiple of 1
+   (Werner, isotropic and Bell-diagonal states) the rows are rounding
+   noise and S_A is every matrix.  Then rho1 T = T rho2 is solved for
+   T = sum_ab c_ab X_a (x) conj(Y_b) over the bases of S_A and S_B, and
+   each candidate c is split into (X, Y) by the top singular pair of its
+   dim S_A x dim S_B reshape.  Nothing here depends on phases or bases.
+3. Coupled system.  The linking equations A_i Y = X A'_i and
+   A_i^dagger X = Y A'_i^dagger of every singleton eigenvector i, after
+   ``_align_phases`` has rephased the second state's singletons with
+   connector words (short words whose trace pins one relative phase).
+   They tie X to Y, which the product system does only through
+   rho1 T = T rho2.  When the rows are inconsistent (phases a connector
+   could not pin) the least-violated direction of the same SVD is still
+   tried; the residual decides.
+
+The product system comes before the coupled one, except with exactly one
+singleton and a product space of more than one dimension (pure and
+isotropic states): one singleton needs no alignment, and its coupled
+system is far smaller.  Each system gets one SVD and one search through
+``_search_pair``; if none certifies, the verdict is an explicit
+Inconclusive rather than a guess.
+
+The coupled system holds no generator equations of two singletons i and
+j, because the linking equations imply them.  With the linking residuals
 E = A_i Y - X A'_i and F = A_j^dagger X - Y A'_j^dagger,
 
     A_i A_j^dagger X - X A'_i A'_j^dagger = A_i F + E A'_j^dagger,
@@ -50,9 +60,8 @@ E = A_i Y - X A'_i and F = A_j^dagger X - Y A'_j^dagger,
         = A_i^dagger (A_j Y - X A'_j) + (A_i^dagger X - Y A'_i^dagger) A'_j,
 
 so those rows lie in the row span of the linking rows and leave the null
-space unchanged; only the relative SVD cutoff sees a different largest
-singular value.  A nondegenerate rank-r pair thus solves 2 r N^2
-equations in 2 N^2 unknowns instead of 2 r^2 N^2 + 2 r N^2.
+space unchanged.  A nondegenerate rank-r pair thus solves 2 r N^2
+equations in 2 N^2 unknowns.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DimensionMismatch, LuequivError, NotUnitary
+from .errors import DimensionMismatch, LuequivError
 from .invariants import (
     Word,
     compare_signatures,
@@ -73,8 +82,8 @@ from .invariants import (
     values_close,
     word_trace,
 )
-from .linalg import dagger, ensure_matrix, frob, kron, nullspace, polar_decompose
-from .states import DensityMatrix, SpectralDecomposition, spectral_decompose
+from .linalg import dagger, frob, kron, nullspace, polar_decompose
+from .states import DensityMatrix, SpectralDecomposition, _check_unitary, spectral_decompose
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -127,13 +136,9 @@ def certify(
     n = rho.dim_local
     if rho2.dim_local != n:
         raise DimensionMismatch("states live on different local dimensions")
-    for name, m in (("u", u), ("w", w)):
-        m = ensure_matrix(m, square=True)
-        if m.shape[0] != n:
-            raise DimensionMismatch(f"{name} must be {n}x{n}")
-        if frob(m @ dagger(m) - np.eye(n)) > DEFAULT_TOL.eps_unitary * max(1.0, frob(m)):
-            raise NotUnitary(f"{name} is not unitary within tolerance")
-    v = kron(dagger(np.asarray(u)), np.asarray(w).T)  # u^dagger (x) (w*)^dagger
+    u = _check_unitary(u, n, tol.eps_unitary, "u")
+    w = _check_unitary(w, n, tol.eps_unitary, "w")
+    v = kron(dagger(u), w.T)  # u^dagger (x) (w*)^dagger
     return frob(rho2.matrix - v @ rho.matrix @ dagger(v))
 
 
@@ -230,15 +235,42 @@ def _align_phases(
 
 
 # ---------------------------------------------------------------------------
-# coupled certificate search
+# certificate search
 
 
-def _pair_rows(p: np.ndarray, q: np.ndarray, n: int, slot: int) -> np.ndarray:
-    """Rows for P Z - Z Q = 0 acting on slot 0 (X) or 1 (Y) of (X, Y)."""
-    eye = np.eye(n, dtype=complex)
-    block = np.kron(p, eye) - np.kron(eye, q.T)
-    zero = np.zeros_like(block)
-    return np.hstack([block, zero] if slot == 0 else [zero, block])
+def _block_sums(sd: SpectralDecomposition, blocks, side: str) -> np.ndarray:
+    """H_b = sum_{p in b} A_p A_p^dag (side "L") or K_b = sum A_p^dag A_p ("R"),
+    stacked over the blocks, which are consecutive runs of indices."""
+    a = np.array(sd.coeff_matrices)
+    a = a if side == "L" else a.conj().transpose(0, 2, 1)
+    return np.add.reduceat(a @ a.conj().transpose(0, 2, 1), [b[0] for b in blocks], axis=0)
+
+
+def _intertwiners(ps: np.ndarray, qs: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Orthonormal basis (vec rows) of {Z : P_b Z = Z Q_b for every b}.
+
+    The rows of P Z - Z Q on the row-major vec of Z are P (x) 1 - 1 (x) Q^T.
+    The cutoff is relative to the families' norm, not to the largest
+    singular value of the rows: when every P_b is a multiple of 1 the rows
+    are rounding noise and every Z solves them.
+    """
+    n = ps.shape[1]
+    eye = np.eye(n)
+    rows = np.einsum("bik,jl->bijkl", ps, eye) - np.einsum("ik,blj->bijkl", eye, qs)
+    scale = np.max(np.linalg.norm(ps, axis=(1, 2)) + np.linalg.norm(qs, axis=(1, 2)))
+    return nullspace(rows.reshape(-1, n * n)).basis(tol.eps_null, scale)
+
+
+def _product_system(rho1: DensityMatrix, rho2: DensityMatrix, xs, ys) -> np.ndarray:
+    """rho1 T - T rho2 for T = X_a (x) conj(Y_b): one column per (a, b), a-major."""
+    n = rho1.dim_local
+    r1, r2 = (r.matrix.reshape(n, n, n, n) for r in (rho1, rho2))
+    x, y = xs.reshape(-1, n, n), ys.conj().reshape(-1, n, n)
+    # sum_jl r1[i,k,j,l] x[a,j,m] y[b,l,n] and sum_jl x[a,i,j] y[b,k,l] r2[j,l,m,n]
+    left = np.tensordot(np.tensordot(r1, x, axes=([2], [1])), y, axes=([2], [1]))
+    right = np.tensordot(np.tensordot(x, r2, axes=([2], [0])), y, axes=([2], [2]))
+    out = left.transpose(0, 1, 3, 5, 2, 4) - right.transpose(1, 5, 2, 3, 0, 4)
+    return out.reshape(n ** 4, -1)
 
 
 def _coupling_rows(a1: np.ndarray, a2: np.ndarray, n: int) -> list[np.ndarray]:
@@ -249,36 +281,10 @@ def _coupling_rows(a1: np.ndarray, a2: np.ndarray, n: int) -> list[np.ndarray]:
     return [row1, row2]
 
 
-def _certificate_system(
-    sd1: SpectralDecomposition,
-    coeffs2: list[np.ndarray],
-    blocks: tuple[tuple[int, ...], ...],
-    mode: str,
-) -> np.ndarray:
-    n = sd1.dim_local
-    singles = set(b[0] for b in blocks if len(b) == 1)
-    a1 = sd1.coeff_matrices
-    rows: list[np.ndarray] = []
-    if mode == "full":
-        for i in range(sd1.rank):
-            for j in range(sd1.rank):
-                if i in singles and j in singles:
-                    continue  # implied by the coupling rows of i and j
-                rows.append(_pair_rows(a1[i] @ dagger(a1[j]), coeffs2[i] @ dagger(coeffs2[j]), n, 0))
-                rows.append(_pair_rows(dagger(a1[i]) @ a1[j], dagger(coeffs2[i]) @ coeffs2[j], n, 1))
-    else:
-        for block in blocks:
-            if len(block) == 1:
-                continue
-            h1 = sum(a1[p] @ dagger(a1[p]) for p in block)
-            h2 = sum(coeffs2[p] @ dagger(coeffs2[p]) for p in block)
-            k1 = sum(dagger(a1[p]) @ a1[p] for p in block)
-            k2 = sum(dagger(coeffs2[p]) @ coeffs2[p] for p in block)
-            rows.append(_pair_rows(h1, h2, n, 0))
-            rows.append(_pair_rows(k1, k2, n, 1))
-    for i in sorted(singles):
-        rows.extend(_coupling_rows(a1[i], coeffs2[i], n))
-    return np.vstack(rows)
+def _certificate_system(sd1: SpectralDecomposition, coeffs2: list, singles) -> np.ndarray:
+    """The coupled system in (X, Y): the linking equations of every singleton."""
+    a1, n = sd1.coeff_matrices, sd1.dim_local
+    return np.vstack([r for i in singles for r in _coupling_rows(a1[i], coeffs2[i], n)])
 
 
 def _search_pair(
@@ -286,16 +292,16 @@ def _search_pair(
     rho2: DensityMatrix,
     vecs: np.ndarray,
     tol: Tolerances,
+    split,
 ) -> Certificate | None:
     """First null-space element whose polar parts certify.
 
-    The basis rows are tried first, then seeded random combinations.  In a
+    ``split`` turns a null-space vector into the pair (X, Y).  The basis
+    rows are tried first, then seeded random combinations.  In a
     one-dimensional space every combination is a multiple of the basis
     vector, and ``certify`` does not see the common phase, so the draws
     only run from two dimensions up.
     """
-    n = rho1.dim_local
-    nn = n * n
     k = vecs.shape[0]
     candidates = list(vecs)
     if k >= 2:
@@ -304,8 +310,7 @@ def _search_pair(
             coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             candidates.append(coeff @ vecs)
     for cand in candidates:
-        x = cand[:nn].reshape(n, n)
-        y = cand[nn:].reshape(n, n)
+        x, y = split(cand)
         nx, ny = frob(x), frob(y)
         if nx < 1e-9 or ny < 1e-9:
             continue
@@ -328,29 +333,55 @@ def _attempt_certificate(
     blocks: tuple[tuple[int, ...], ...],
     tol: Tolerances,
 ) -> tuple[Certificate | None, dict]:
+    n = rho1.dim_local
+    nn = n * n
+    eye = np.eye(n, dtype=complex)
+    residual = certify(rho1, rho2, eye, eye, tol)
+    details: dict = {"attempts": [{"mode": "identity", "success": residual <= tol.eps_cert}]}
+    if residual <= tol.eps_cert:
+        return Certificate(eye, eye, residual), details
+    xs, ys = (
+        _intertwiners(_block_sums(sd1, blocks, side), _block_sums(sd2, blocks, side), tol)
+        for side in ("L", "R")
+    )
+    da, db = len(xs), len(ys)
     singles = [b[0] for b in blocks if len(b) == 1]
-    coeffs2, align_info = _align_phases(sd1, sd2, singles, tol)
-    details: dict = {"alignment": align_info, "attempts": []}
-    # with every block a singleton, "safe" already is the per-index system
-    modes = ("safe", "full") if len(singles) < len(blocks) else ("safe",)
-    for mode in modes:
-        null = nullspace(_certificate_system(sd1, coeffs2, blocks, mode))
-        searched = 0
-        for eps in (tol.eps_null, tol.eps_null * tol.retry_relax):
-            vecs = null.basis(eps)
-            if vecs.shape[0] == 0:
-                # borderline alignment noise: try the least-violated direction
-                vecs = null.vectors[-1:]
-            if vecs.shape[0] <= searched:
-                continue  # the relaxed basis is the one just searched
-            searched = vecs.shape[0]
-            cert = _search_pair(rho1, rho2, vecs, tol)
-            details["attempts"].append(
-                {"mode": mode, "eps_null": eps, "null_dim": searched,
-                 "success": cert is not None}
-            )
-            if cert is not None:
-                return cert, details
+
+    def product():
+        # as for the families: a system of rounding noise leaves every T free
+        scale = frob(rho1.matrix) + frob(rho2.matrix)
+        vecs = nullspace(_product_system(rho1, rho2, xs, ys)).basis(tol.eps_null, scale)
+
+        def split(c):
+            p, _, qh = np.linalg.svd(c.reshape(da, db))
+            return (p[:, 0] @ xs).reshape(n, n), (qh[0].conj() @ ys).reshape(n, n)
+
+        return vecs, split
+
+    def coupled():
+        coeffs2, details["alignment"] = _align_phases(sd1, sd2, singles, tol)
+        null = nullspace(_certificate_system(sd1, coeffs2, singles))
+        vecs = null.basis(tol.eps_null)
+        if vecs.shape[0] == 0:
+            # inconsistent rows (phases left free): try the least-violated direction
+            vecs = null.vectors[-1:]
+        return vecs, lambda c: (c[:nn].reshape(n, n), c[nn:].reshape(n, n))
+
+    stages = [("product", product)] if da and db else []
+    if len(singles) == 1 and da * db > 1:
+        # one singleton needs no phase alignment, and its coupled system is
+        # far smaller than a product system with freedom
+        stages.insert(0, ("coupled", coupled))
+    elif singles:
+        stages.append(("coupled", coupled))
+    for mode, build in stages:
+        vecs, split = build()
+        cert = _search_pair(rho1, rho2, vecs, tol, split)
+        details["attempts"].append(
+            {"mode": mode, "null_dim": vecs.shape[0], "success": cert is not None}
+        )
+        if cert is not None:
+            return cert, details
     return None, details
 
 

@@ -125,11 +125,12 @@ class NullSpace(NamedTuple):
     vectors: np.ndarray
     singulars: np.ndarray
 
-    def basis(self, eps_null: float) -> np.ndarray:
+    def basis(self, eps_null: float, scale: float | None = None) -> np.ndarray:
         """Orthonormal rows with singular value at most ``eps_null`` times
-        the largest; shape (k, cols), k = 0 when only zero solves it."""
-        rank = int(np.sum(self.singulars > eps_null * self.singulars[0]))
-        return self.vectors[rank:]
+        ``scale`` (default: the largest singular value); shape (k, cols),
+        k = 0 when only zero solves it."""
+        cutoff = eps_null * (self.singulars[0] if scale is None else scale)
+        return self.vectors[int(np.sum(self.singulars > cutoff)):]
 
 
 def nullspace(mat: np.ndarray) -> NullSpace:

@@ -44,6 +44,13 @@ def weyl_bell_diagonal(n: int, weights) -> lq.DensityMatrix:
     return lq.validate_density(m, n)
 
 
+def werner(n: int, p: float) -> lq.DensityMatrix:
+    """p P_anti / d_anti + (1 - p) P_sym / d_sym, with P = (1 -+ SWAP) / 2."""
+    swap = np.eye(n * n)[[j * n + i for i in range(n) for j in range(n)]]
+    sym, anti = (np.eye(n * n) + swap) / 2, (np.eye(n * n) - swap) / 2
+    return lq.validate_density(p * anti / (n * (n - 1) / 2) + (1 - p) * sym / (n * (n + 1) / 2), n)
+
+
 @pytest.fixture
 def diag_half_pair():
     """Rank-2 diagonal states with equal spectra but different block sums.

@@ -9,7 +9,11 @@ length 3 before the certificate, with
 
     PYTHONPATH=src python tests/test_decide_order.py > tests/data/decide_order.json
 
-and the reordered pipeline must reproduce every row.  The other tests pin
+and the reordered pipeline must reproduce every row.  The product
+certificate system later moved 32 rows from ``inconclusive`` to
+``equivalent`` (the no-singleton orbit pairs, ρ vs ρ* at N=2 (2,) and
+(2, 2), and the four Bell permutations); only those rows were rewritten,
+and every ``equivalent`` row is re-certified.  The other tests pin
 the families where the order matters: a state against its complex
 conjugate, which agrees through length 2 and differs at length 3, and
 pairs moved off an LU orbit by a tiny non-local rotation.
@@ -90,7 +94,13 @@ def _assert_witness_recomputes(rho_a, rho_b, witness):
 
 def test_corpus_reproduces_the_table():
     table = json.loads(TABLE.read_text())
-    rows = {name: _row(lq.decide(a, b)) for name, a, b in corpus()}
+    rows = {}
+    for name, a, b in corpus():
+        verdict = lq.decide(a, b)
+        rows[name] = _row(verdict)
+        if verdict.outcome == EQUIVALENT:
+            cert = verdict.certificate
+            assert lq.certify(a, b, cert.u, cert.w) <= DEFAULT_TOL.eps_cert, name
     assert list(rows) == list(table)
     changed = {name: (table[name], row) for name, row in rows.items() if row != table[name]}
     assert not changed
@@ -124,8 +134,10 @@ class TestConjugatePairs:
         assert verdict.outcome == NOT_EQUIVALENT
         assert verdict.witness.key == "L:(1,1)(2,2)(3,3)"
         _assert_witness_recomputes(rho, _conjugate(rho), verdict.witness)
-        # the length-2 signature agreed, so one certificate system was solved
-        assert len(svds) == 1
+        # the length-2 signature agreed, so the certificate was tried: the
+        # local families have no common intertwiner, which leaves out the
+        # product system, and the coupled system is solved once
+        assert len(svds) == 3
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_pure_state_certifies(self, n):

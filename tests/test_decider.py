@@ -12,7 +12,7 @@ from luequiv.invariants import Word, values_close
 from luequiv.linalg import dagger
 from luequiv.states import decomposition_from_coeffs
 
-from conftest import count_calls, orbit_pair, recompute_witness, unit, weyl_bell_diagonal
+from conftest import count_calls, orbit_pair, recompute_witness, unit, weyl_bell_diagonal, werner
 
 
 class TestCertify:
@@ -42,6 +42,13 @@ class TestCertify:
         rho = lq.random_density(2, 2, seed=92)
         with pytest.raises(NotUnitary):
             lq.certify(rho, rho, 2 * np.eye(2), np.eye(2))
+
+    def test_unitarity_check_reads_the_given_tolerance(self):
+        rho = lq.random_density(2, 2, seed=93)
+        u = np.eye(2) + 1e-6 * np.array([[1, 0], [0, 0]])  # 1e-6 off unitary
+        assert lq.certify(rho, rho, u, np.eye(2), DEFAULT_TOL.replace(eps_unitary=1e-3)) < 1e-5
+        with pytest.raises(NotUnitary):
+            lq.certify(rho, rho, u, np.eye(2))
 
 
 def _word_net(word: Word) -> dict[int, int]:
@@ -127,8 +134,11 @@ class TestGaugeAlignment:
     def test_connectors_skip_zero_trace_words(self, monkeypatch):
         rho, rho2, _, _ = orbit_pair(3, 4, seed=280)
         traces = count_calls(monkeypatch, "word_trace")
-        verdict = lq.decide(rho, rho2)
-        assert verdict.outcome == EQUIVALENT
+        # the product system certifies the pair, so decide aligns nothing
+        assert lq.decide(rho, rho2).outcome == EQUIVALENT
+        assert traces == []
+        sd1, sd2 = lq.spectral_decompose(rho), lq.spectral_decompose(rho2)
+        decider._align_phases(sd1, sd2, [0, 1, 2, 3], DEFAULT_TOL)
         # the walk searches a connector on the first state only for the
         # pairs it reaches, here the star from singleton 1 (3; the first
         # candidate pins each phase), and measures each on the second (3)
@@ -274,45 +284,68 @@ class TestDecide:
         assert lq.decide(mm, out).outcome == EQUIVALENT
 
     def test_rotated_weyl_bell_diagonal_pair(self):
-        # Every connector word has trace 0 here, so the phases stay unaligned
-        # and the strict null space is empty; the least-violated direction of
-        # the same SVD certifies the pair.
+        # Every connector word has trace 0 here, so phase alignment would
+        # leave the phases free; the product system needs no phases.
         rng = np.random.default_rng(270)
         rho = weyl_bell_diagonal(3, rng.dirichlet(np.ones(9)))
         rho2 = lq.apply_local_unitary(rho, lq.haar_unitary(3, rng), lq.haar_unitary(3, rng))
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT, verdict.reason
+        assert verdict.details["attempts"][-1]["mode"] == "product"
         assert lq.certify(rho, rho2, verdict.certificate.u, verdict.certificate.w) <= 1e-8
 
 
 class TestCertificateWork:
-    """One SVD per system, and no second certify after a success."""
+    """The identity check, then one SVD per system, and no second certify
+    after a success.  The product system costs three SVDs: one for each
+    local family's intertwiners and one for the system itself."""
 
-    def test_nondegenerate_pair_one_svd_one_certify(self, monkeypatch):
+    def test_nondegenerate_pair_one_product_attempt(self, monkeypatch):
         rho, rho2, _, _ = orbit_pair(3, 4, seed=280)
         svds = count_calls(monkeypatch, "nullspace")
         certifies = count_calls(monkeypatch, "certify")
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT
-        assert (len(svds), len(certifies)) == (1, 1)
+        assert (len(svds), len(certifies)) == (3, 2)
+        assert [a["mode"] for a in verdict.details["attempts"]] == ["identity", "product"]
 
-    def test_partly_degenerate_pair_one_svd(self, monkeypatch):
+    def test_partly_degenerate_pair_one_product_attempt(self, monkeypatch):
         rho, rho2, _, _ = orbit_pair(3, 4, seed=281, profile=[2, 1, 1])
         svds = count_calls(monkeypatch, "nullspace")
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT
-        assert len(svds) == 1
-        assert [a["mode"] for a in verdict.details["attempts"]] == ["safe"]
+        assert len(svds) == 3
+        assert [a["mode"] for a in verdict.details["attempts"]] == ["identity", "product"]
 
     def test_failing_systems_are_searched_once_each(self, monkeypatch):
-        # no singleton eigenvalue: both systems run and neither certifies;
-        # the relaxed cutoff admits no new direction, so it is not re-searched
-        rho, rho2, _, _ = orbit_pair(2, 2, seed=300, profile=[2])
+        # the rotated N=4 Weyl-Heisenberg state with two nonzero weights:
+        # neither system certifies, and neither is searched a second time
+        rng = np.random.default_rng(300)
+        rho = weyl_bell_diagonal(4, [0.6, 0.4] + [0.0] * 14)
+        rho2 = lq.apply_local_unitary(rho, lq.haar_unitary(4, rng), lq.haar_unitary(4, rng))
         svds = count_calls(monkeypatch, "nullspace")
+        searches = count_calls(monkeypatch, "_search_pair")
         verdict = lq.decide(rho, rho2)
-        assert verdict.reason == "degenerate-no-certificate"
-        assert len(svds) == 2
-        assert [a["mode"] for a in verdict.details["attempts"]] == ["safe", "full"]
+        assert verdict.outcome == INCONCLUSIVE
+        assert (len(svds), len(searches)) == (4, 2)
+        modes = [a["mode"] for a in verdict.details["attempts"]]
+        assert modes == ["identity", "product", "coupled"]
+
+    def test_one_singleton_tries_the_coupled_system_first(self):
+        # a pure state: one singleton, whose coupling rows need no phase
+        # alignment, and a product system with freedom on both sides
+        rho, rho2, _, _ = orbit_pair(3, 1, seed=282)
+        verdict = lq.decide(rho, rho2)
+        assert verdict.outcome == EQUIVALENT
+        assert [a["mode"] for a in verdict.details["attempts"]] == ["identity", "coupled"]
+
+    def test_identity_certifies_a_state_against_itself(self, monkeypatch):
+        rho = weyl_bell_diagonal(3, [0.3, 0.2, 0.2] + [0.05] * 6)
+        svds = count_calls(monkeypatch, "nullspace")
+        verdict = lq.decide(rho, rho)
+        assert verdict.outcome == EQUIVALENT
+        assert svds == []
+        assert verdict.details["attempts"] == [{"mode": "identity", "success": True}]
 
 
 def _full_rank_orbit_pair(n, seed):
@@ -326,17 +359,23 @@ def _full_rank_orbit_pair(n, seed):
     return rho, lq.apply_local_unitary(rho, lq.haar_unitary(n, rng), lq.haar_unitary(n, rng))
 
 
-def _record_systems(monkeypatch):
+def _record_systems(monkeypatch, name):
     shapes = []
-    inner = decider._certificate_system
+    inner = getattr(decider, name)
 
     def recorded(*args):
         system = inner(*args)
         shapes.append(system.shape)
         return system
 
-    monkeypatch.setattr(decider, "_certificate_system", recorded)
+    monkeypatch.setattr(decider, name, recorded)
     return shapes
+
+
+def _sylvester(p, q):
+    """Rows of P Z - Z Q = 0 on the row-major vec of Z."""
+    eye = np.eye(len(p))
+    return np.kron(p, eye) - np.kron(eye, q.T)
 
 
 def _row_space_residual(p, c):
@@ -347,35 +386,38 @@ def _row_space_residual(p, c):
 
 
 class TestCertificateSystem:
-    """Pair rows between two singletons are implied by their coupling rows,
-    so a system holds 2 rank N^2 coupling rows, plus pair rows only where
-    an index lies in a degenerate block."""
+    """The coupled system holds the 2 N^2 coupling rows of each singleton
+    and nothing else: pair rows between two singletons are implied by
+    their coupling rows, and degenerate blocks enter through the product
+    system instead."""
 
     def test_nondegenerate_n6_shape(self):
         rho, _ = _full_rank_orbit_pair(6, 46)
         sd = lq.spectral_decompose(rho)
         assert len(sd.blocks) == 36
-        system = decider._certificate_system(sd, list(sd.coeff_matrices), sd.blocks, "safe")
-        assert system.shape == (2 * 36 * 36, 72)  # parent: 95,904 rows
+        system = decider._certificate_system(sd, list(sd.coeff_matrices), range(36))
+        assert system.shape == (2 * 36 * 36, 72)  # before pair rows were dropped: 95,904 rows
 
     def test_full_rank_n8_pair_decides(self, monkeypatch):
         rho, rho2 = _full_rank_orbit_pair(8, 48)
-        shapes = _record_systems(monkeypatch)
+        products = _record_systems(monkeypatch, "_product_system")
+        coupled = _record_systems(monkeypatch, "_certificate_system")
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT, verdict.reason
-        assert shapes == [(8192, 128)]
+        # each local family has a one-dimensional intertwiner space
+        assert (products, coupled) == ([(8 ** 4, 1)], [])
         assert lq.certify(rho, rho2, verdict.certificate.u, verdict.certificate.w) <= 1e-8
 
-    def test_partly_degenerate_safe_system_has_no_pair_rows(self, monkeypatch):
+    def test_partly_degenerate_coupled_system_has_no_pair_rows(self, monkeypatch):
         rho, rho2, _, _ = orbit_pair(3, 4, seed=281, profile=[2, 1, 1])
-        shapes = _record_systems(monkeypatch)
+        products = _record_systems(monkeypatch, "_product_system")
         assert lq.decide(rho, rho2).outcome == EQUIVALENT
-        # one block sum on each side (2 x 9) and two singletons' coupling rows (4 x 9)
-        assert shapes == [(54, 18)]
+        assert products == [(3 ** 4, 1)]
         sd = lq.spectral_decompose(rho)
-        full = decider._certificate_system(sd, list(sd.coeff_matrices), sd.blocks, "full")
-        # "full" keeps the pair rows of the 12 of 16 index pairs that touch the block
-        assert full.shape == (12 * 2 * 9 + 4 * 9, 18)
+        singles = [b[0] for b in sd.blocks if len(b) == 1]
+        coupled = decider._certificate_system(sd, list(sd.coeff_matrices), singles)
+        # two singletons' coupling rows (4 x 9), no rows for the block
+        assert coupled.shape == (4 * 9, 18)
 
     def test_singleton_pair_rows_lie_in_the_coupling_row_span(self):
         n = 3
@@ -391,11 +433,14 @@ class TestCertificateSystem:
         assert np.linalg.matrix_rank(coupling, tol=1e-10) < 2 * n * n
         known = np.concatenate([dagger(u).reshape(-1), w.reshape(-1)])
         assert np.linalg.norm(coupling @ known) < 1e-12
+        zero = np.zeros((n * n, n * n))
         pairs = []
         for i in range(3):
             for j in range(3):
-                pairs.append(decider._pair_rows(a1[i] @ dagger(a1[j]), a2[i] @ dagger(a2[j]), n, 0))
-                pairs.append(decider._pair_rows(dagger(a1[i]) @ a1[j], dagger(a2[i]) @ a2[j], n, 1))
+                x_rows = _sylvester(a1[i] @ dagger(a1[j]), a2[i] @ dagger(a2[j]))
+                y_rows = _sylvester(dagger(a1[i]) @ a1[j], dagger(a2[i]) @ a2[j])
+                pairs.append(np.hstack([x_rows, zero]))
+                pairs.append(np.hstack([zero, y_rows]))
                 assert _row_space_residual(pairs[-2], coupling) <= 1e-10
                 assert _row_space_residual(pairs[-1], coupling) <= 1e-10
         # not the other way round: the pair rows leave directions free that
@@ -403,9 +448,48 @@ class TestCertificateSystem:
         assert _row_space_residual(coupling, np.vstack(pairs)) > 1e-3
         # the system keeps the coupling rows and so has their null space
         sd1 = decomposition_from_coeffs(n, [0.5, 0.3, 0.2], a1)
-        system = decider._certificate_system(sd1, a2, ((0,), (1,), (2,)), "safe")
+        system = decider._certificate_system(sd1, a2, [0, 1, 2])
         assert np.linalg.matrix_rank(system, tol=1e-10) == np.linalg.matrix_rank(coupling, tol=1e-10)
         assert np.linalg.norm(system @ known) < 1e-12
+
+
+def _intertwiners(sd1, sd2, side):
+    """Intertwiners of the side's local families over the blocks of sd1."""
+    sums = [decider._block_sums(sd, sd1.blocks, side) for sd in (sd1, sd2)]
+    return decider._intertwiners(*sums, DEFAULT_TOL)
+
+
+class TestProductSystem:
+    """Intertwiners of the local families H_b = sum A_p A_p^dag and
+    K_b = sum A_p^dag A_p, and rho1 T = T rho2 over their products."""
+
+    def test_true_local_unitaries_solve_it(self):
+        n = 3
+        rho, rho2, u1, u2 = orbit_pair(n, 4, seed=283, profile=[2, 1, 1])
+        sd1, sd2 = lq.spectral_decompose(rho), lq.spectral_decompose(rho2)
+        xs, ys = _intertwiners(sd1, sd2, "L"), _intertwiners(sd1, sd2, "R")
+        # X = U1^dag and Y = U2^T lie in the intertwiner spaces
+        cx, cy = xs.conj() @ dagger(u1).reshape(-1), ys.conj() @ u2.T.reshape(-1)
+        assert np.linalg.norm(cx @ xs - dagger(u1).reshape(-1)) < 1e-10
+        assert np.linalg.norm(cy @ ys - u2.T.reshape(-1)) < 1e-10
+        system = decider._product_system(rho, rho2, xs, ys)
+        assert system.shape == (n ** 4, len(xs) * len(ys))
+        assert np.linalg.norm(system @ np.outer(cx, cy).reshape(-1)) < 1e-10
+
+    def test_scalar_families_leave_every_matrix_free(self):
+        # Werner states: both local families are multiples of 1, so their
+        # rows are rounding noise; a cutoff relative to the largest
+        # singular value would keep only part of the N^2 directions
+        n = 3
+        rho = werner(n, 0.3)
+        rng = np.random.default_rng(284)
+        moved = lq.apply_local_unitary(rho, lq.haar_unitary(n, rng), lq.haar_unitary(n, rng))
+        sd1, sd2 = lq.spectral_decompose(rho), lq.spectral_decompose(moved)
+        for side in ("L", "R"):
+            assert _intertwiners(sd1, sd2, side).shape == (n * n, n * n)
+        verdict = lq.decide(rho, moved)
+        assert verdict.outcome == EQUIVALENT
+        assert lq.certify(rho, moved, verdict.certificate.u, verdict.certificate.w) <= 1e-8
 
 
 def _reference_joint_blocks(sd1, sd2, eps_deg):
