@@ -14,6 +14,20 @@ the block's eigenvectors; those sums are the block invariants.
 Signatures assembled here therefore contain only quantities that are
 decomposition-independent: power traces of the density matrix, balanced
 words over singleton (nondegenerate) indices, and patterned block sums.
+
+Evaluation.  A word of length L splits into a prefix of ceil(L/2) letters
+and a suffix of floor(L/2); each distinct prefix and each distinct suffix
+is multiplied out once, and the word's value is Tr(P S).  Right-side words
+are not evaluated at all: by trace cyclicity
+
+    Tr(A_{i1}^dag A_{j1} ... A_{iL}^dag A_{jL})
+        = Tr(A_{j1} A_{i2}^dag ... A_{jL} A_{i1}^dag),
+
+so the right word ((i1,j1), ..., (iL,jL)) equals the left word
+((j1,i2), (j2,i3), ..., (jL,i1)), which is balanced; on the canonical
+words this is a permutation, and the right values are the left ones read
+in that order.  Block sums replay a contraction plan compiled once per
+pattern, side and N.
 """
 
 from __future__ import annotations
@@ -139,6 +153,24 @@ def _balanced_pair_arrays(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(lefts), np.concatenate(rights)
 
 
+def _min_rotation_codes(codes: np.ndarray, base: int) -> np.ndarray:
+    """Packed code of each row's lexicographically least cyclic rotation.
+
+    ``codes`` holds letter codes in [0, base); a row packs to the base-``base``
+    integer with its first letter most significant, so packed order is
+    lexicographic letter order.
+    """
+    length = codes.shape[1]
+    powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    return np.min([np.roll(codes, -r, axis=1) @ powers for r in range(length)], axis=0)
+
+
+def _unpack_codes(packed: np.ndarray, base: int, length: int) -> np.ndarray:
+    """Inverse of the packing: (W,) packed codes to (W, length) letter codes."""
+    powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    return packed[:, None] // powers % base
+
+
 @functools.lru_cache(maxsize=128)
 def _canonical_letter_arrays(n: int, length: int) -> np.ndarray:
     """Canonical balanced words of one length as a read-only (W, length, 2) array.
@@ -157,23 +189,29 @@ def _canonical_letter_arrays(n: int, length: int) -> np.ndarray:
         out = np.zeros((0, length, 2), dtype)
         out.flags.writeable = False
         return out
-    codes = lefts * n + rights  # (W, L) letter codes in [0, n^2)
     base = n * n
-    powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    packed = np.stack(
-        [np.roll(codes, -r, axis=1) @ powers for r in range(length)]
-    )  # (L, W)
-    best_rot = np.argmin(packed, axis=0)
-    cols = (np.arange(length)[None, :] + best_rot[:, None]) % length
-    canon = codes[np.arange(codes.shape[0])[:, None], cols]
-    canon_packed = np.min(packed, axis=0)
-    _, first = np.unique(canon_packed, return_index=True)
-    canon = canon[np.sort(first)]
-    order = np.argsort(canon @ powers, kind="stable")
-    canon = canon[order]
+    canon = _unpack_codes(np.unique(_min_rotation_codes(lefts * n + rights, base)), base, length)
     out = np.stack([canon // n, canon % n], axis=2).astype(dtype)
     out.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=128)
+def _right_to_left_index(n: int, length: int) -> np.ndarray:
+    """Row of the equal left word for each right word, as a read-only array.
+
+    Right word w = ((i1,j1), ..., (iL,jL)) of ``_canonical_letter_arrays``
+    equals the left word ((j1,i2), (j2,i3), ..., (jL,i1)), which is balanced
+    and canonicalises to row ``index[w]`` of the same array; the map is a
+    permutation of the rows.
+    """
+    arr = _canonical_letter_arrays(n, length).astype(np.int64)
+    i, j = arr[:, :, 0], arr[:, :, 1]
+    base = n * n
+    rows = _min_rotation_codes(i * n + j, base)  # ascending: rows are canonical
+    index = np.searchsorted(rows, _min_rotation_codes(j * n + np.roll(i, -1, axis=1), base))
+    index.flags.writeable = False
+    return index
 
 
 def enumerate_balanced_words(
@@ -197,6 +235,24 @@ def enumerate_balanced_words(
     return words
 
 
+def _prefix_products(gens: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Products of each row's factors, built over shared prefixes.
+
+    Returns (prods, pid) with prods[pid[w]] the ordered product of the
+    factors ``gens[codes[w]]``.  Level k multiplies only rows whose first
+    k+1 letters differ from the row before, so rows sorted by packed code
+    share every common prefix; unsorted rows stay correct, with less sharing.
+    """
+    prods, pid = gens, codes[:, 0]
+    changed = codes[1:, 0] != codes[:-1, 0]
+    for k in range(1, codes.shape[1]):
+        changed |= codes[1:, k] != codes[:-1, k]
+        starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
+        prods = prods[pid[starts]] @ gens[codes[starts, k]]
+        pid = np.concatenate(([0], np.cumsum(changed)))
+    return prods, pid
+
+
 def _batch_word_values(
     stack: np.ndarray, arr: np.ndarray, side: str
 ) -> np.ndarray:
@@ -204,11 +260,9 @@ def _batch_word_values(
 
     ``stack`` is the (n, N, N) array of coefficient matrices; ``arr`` holds
     0-based letters with shape (W, L, 2).  The n^2 letter factors are built
-    once.  The product of each word's first L-1 factors is built level by
-    level over the distinct prefixes only: a run of adjacent rows with the
-    same prefix shares one product, and rows sorted by packed code (as
-    ``_canonical_letter_arrays`` returns them) keep shared prefixes
-    adjacent.  The last factor enters through the trace alone.
+    once.  A word splits into a prefix of ceil(L/2) letters and a suffix of
+    floor(L/2); each distinct prefix and each distinct suffix is multiplied
+    out once (``_prefix_products``), and the word's value is Tr(P S).
     """
     n, length = stack.shape[0], arr.shape[1]
     if arr.shape[0] == 0:
@@ -219,27 +273,26 @@ def _batch_word_values(
     codes = arr[:, :, 0].astype(np.intp) * n + arr[:, :, 1]  # (W, L)
     if length == 1:
         return np.einsum("cii->c", gens)[codes[:, 0]]
-    # prods[pid[w]] is the product of the first k+1 factors of word w
-    prods, pid = gens, codes[:, 0]
-    changed = codes[1:, 0] != codes[:-1, 0]
-    for k in range(1, length - 1):
-        # rows whose prefix of length k+1 differs from the row before
-        changed |= codes[1:, k] != codes[:-1, k]
-        starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
-        prods = prods[pid[starts]] @ gens[codes[starts, k]]
-        pid = np.concatenate(([0], np.cumsum(changed)))
-    return np.einsum("wab,wba->w", prods[pid], gens[codes[:, -1]])
+    half = (length + 1) // 2
+    prefixes, pid = _prefix_products(gens, codes[:, :half])
+    base = n * n
+    powers = base ** np.arange(length - half - 1, -1, -1, dtype=np.int64)
+    packed, sid = np.unique(codes[:, half:] @ powers, return_inverse=True)
+    suffixes, spid = _prefix_products(gens, _unpack_codes(packed, base, length - half))
+    return np.einsum("wab,wba->w", prefixes[pid], suffixes[spid[sid]])
 
 
 # ---------------------------------------------------------------------------
 # degeneracy-block invariants
 
 
-def cycle_type_representatives(tau: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@functools.lru_cache(maxsize=64)
+def cycle_type_representatives(tau: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(cycle_type, representative permutation) pairs, identity type first.
 
     The representative realises the cycle type on consecutive slots; only
     one permutation per type is evaluated (conjugate patterns are dropped).
+    Memoised: every block of every signature walks the same types.
     """
     out = []
     for parts in sorted(tuple(sorted(p)) for p in _partitions(tau)):
@@ -250,7 +303,7 @@ def cycle_type_representatives(tau: int) -> list[tuple[tuple[int, ...], tuple[in
                 perm[start + k] = start + (k + 1) % c
             start += c
         out.append((parts, tuple(perm)))
-    return out
+    return tuple(out)
 
 
 def _block_gram(stack: np.ndarray) -> np.ndarray:
@@ -258,15 +311,20 @@ def _block_gram(stack: np.ndarray) -> np.ndarray:
     return np.einsum("iab,icd->abcd", stack, stack.conj())
 
 
-@functools.lru_cache(maxsize=256)
-def _block_expression(pattern: tuple[int, ...], side: str, dim: int) -> tuple[str, tuple]:
-    """Einsum subscripts of one patterned block sum and its contraction path.
+@functools.lru_cache(maxsize=1024)
+def _block_plan(pattern: tuple[int, ...], side: str, dim: int) -> tuple:
+    """Contraction plan of one patterned block sum, compiled once per key.
 
+    The sum is a network of tau copies of the block's N^4 gram tensor.
     ``optimize=True`` caps intermediates at the largest input (N^4
     entries), which leaves the 5- and 6-cycles no pairwise contraction and
     falls back to one loop over all 2*tau indices.  The greedy path under a
     generous cap contracts pairwise; its largest intermediate is N^6
-    entries.  The path depends only on the subscripts and N.
+    entries.  The path depends only on the subscripts and N, so it is
+    searched once and replayed here into steps ``(positions, equations,
+    shapes)``: a pairwise step reduces each operand with one einsum to
+    (contracted, kept) axes, multiplies the two as matrices and keeps the
+    result's axes in that order, so no step re-validates the path.
     """
     tau = len(pattern)
     inv = [0] * tau
@@ -283,10 +341,37 @@ def _block_expression(pattern: tuple[int, ...], side: str, dim: int) -> tuple[st
             subs.append(a[u] + b[u] + a[s_star] + b[prev])
         else:
             subs.append(b[prev] + a[s_star] + b[u] + a[u])
-    expr = ",".join(subs) + "->"
     shape = np.empty((dim,) * 4)
-    path, _ = np.einsum_path(expr, *([shape] * tau), optimize=("greedy", 10**8))
-    return expr, tuple(path)
+    path, _ = np.einsum_path(
+        ",".join(subs) + "->", *([shape] * tau), optimize=("greedy", 10**8)
+    )
+    steps = []
+    for positions in path[1:]:
+        positions = tuple(sorted(positions, reverse=True))
+        taken = [subs.pop(p) for p in positions]
+        later = set("".join(subs))
+        if len(taken) != 2:
+            keep = "".join(sorted(set("".join(taken)) & later))
+            steps.append((positions, (",".join(taken) + "->" + keep,), None))
+            subs.append(keep)
+            continue
+        # every index occurs twice in the network, so one shared by x and y
+        # is summed here and never survives as a batch axis
+        x, y = taken
+        summed = "".join(sorted(set(x) & set(y) - later))
+        keep_x = "".join(sorted(set(x) & later))
+        keep_y = "".join(sorted(set(y) & later))
+        steps.append((
+            positions,
+            (x + "->" + keep_x + summed, y + "->" + summed + keep_y),
+            (
+                (dim ** len(keep_x), dim ** len(summed)),
+                (dim ** len(summed), dim ** len(keep_y)),
+                (dim,) * (len(keep_x) + len(keep_y)),
+            ),
+        ))
+        subs.append(keep_x + keep_y)
+    return tuple(steps)
 
 
 def _block_network_value(gram: np.ndarray, pattern: tuple[int, ...], side: str) -> complex:
@@ -296,8 +381,16 @@ def _block_network_value(gram: np.ndarray, pattern: tuple[int, ...], side: str) 
     literal sum over all index assignments of the word whose dagger slot
     after position s carries label pattern[(s+1) % tau].
     """
-    expr, path = _block_expression(pattern, side, gram.shape[0])
-    return complex(np.einsum(expr, *([gram] * len(pattern)), optimize=path))
+    operands = [gram] * len(pattern)
+    for positions, equations, shapes in _block_plan(pattern, side, gram.shape[0]):
+        taken = [operands.pop(p) for p in positions]
+        if shapes is None:
+            operands.append(np.einsum(equations[0], *taken))
+        else:
+            x = np.einsum(equations[0], taken[0]).reshape(shapes[0])
+            y = np.einsum(equations[1], taken[1]).reshape(shapes[1])
+            operands.append((x @ y).reshape(shapes[2]))
+    return complex(operands[0])
 
 
 def block_invariant(
@@ -412,9 +505,10 @@ def fingerprint_from_decomposition(
         for length in range(1, tau_bal + 1):
             arr = _canonical_letter_arrays(len(singles), length)
             mapped = orig[arr] + 1  # 1-based original indices
-            for side in SIDES:
-                vals = _batch_word_values(sub, arr, side)
-                groups.append(WordGroup(side, length, mapped, vals))
+            vals = _batch_word_values(sub, arr, "L")
+            right = vals[_right_to_left_index(len(singles), length)]
+            groups.append(WordGroup("L", length, mapped, vals))
+            groups.append(WordGroup("R", length, mapped, right))
     block_vals: dict[str, complex] = {}
     for block in blocks:
         if len(block) == 1:

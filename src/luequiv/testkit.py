@@ -51,7 +51,8 @@ def random_density(
 
     Eigenvalue blocks get Dirichlet weights spread uniformly inside each
     block, resampled until the distinct levels are well separated, so the
-    spectral decomposition recovers exactly the requested structure.
+    spectral decomposition recovers exactly the requested structure.  After
+    1000 failed draws one draw of jittered, evenly spaced levels is used.
     Eigenvectors are columns of a Haar unitary on the product space.
     """
     nn = n * n
@@ -62,8 +63,17 @@ def random_density(
         raise InvalidProfile(f"profile {profile} does not sum to rank {rank}")
     rng = _rng_of(seed)
     gap_floor = 1e-4
-    for _ in range(1000):
-        weights = rng.dirichlet(np.ones(len(profile)))
+    blocks = len(profile)
+    for attempt in range(1001):
+        if attempt < 1000:
+            weights = rng.dirichlet(np.ones(blocks))
+        else:
+            # With dozens of blocks (N=8 at full rank) Dirichlet(1) levels
+            # almost never clear both floors.  Shuffled, evenly spaced levels
+            # over a floor of blocks/8, jittered by U[0, 0.5), clear them up
+            # to 64 blocks.  Drawn last, so every earlier success is kept.
+            spaced = blocks / 8 + rng.permutation(blocks) + rng.uniform(0, 0.5, blocks)
+            weights = spaced * np.asarray(profile) / np.dot(spaced, profile)
         lams = np.sort(np.concatenate(
             [np.full(m, w / m) for w, m in zip(weights, profile)]
         ))[::-1]

@@ -10,7 +10,9 @@ from luequiv.errors import BudgetExceeded, IndexOutOfRange, PatternMismatch
 from luequiv.invariants import (
     Word,
     _batch_word_values,
+    _block_plan,
     _canonical_letter_arrays,
+    _right_to_left_index,
     count_balanced_words,
     cycle_type_representatives,
     fingerprint_from_decomposition,
@@ -213,22 +215,52 @@ class TestCanonicalWordCache:
             assert [w.letters for w in lq.enumerate_balanced_words(3, 3)] == want
 
 
+# (rank, length) pairs of the kernel sweep: odd and even splits, suffixes of
+# length 1-3.  Left out for time: (5, 6) and (6, 6), with 373,645 and
+# 1,474,896 canonical words; every other pair has at most 76,836.
+KERNEL_SWEEP = [
+    (rank, length)
+    for rank in range(1, 7)
+    for length in range(1, 7)
+    if (rank, length) not in ((5, 6), (6, 6))
+]
+
+
 class TestWordKernel:
-    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
     def test_matches_word_trace(self, rank):
-        sd = lq.spectral_decompose(lq.random_density(2, rank, seed=40 + rank))
+        sd = lq.spectral_decompose(lq.random_density(3, rank, seed=40 + rank))
         stack = np.stack(sd.coeff_matrices)
-        for length in range(1, 6):
+        for length in range(1, 7):
+            if (rank, length) not in KERNEL_SWEEP:
+                continue
             arr = _canonical_letter_arrays(rank, length)
+            rows = np.arange(arr.shape[0])
+            if rows.size > 10_000:
+                # word_trace is a Python loop: check an even spread of rows
+                # of the kernel's full output
+                rows = np.unique(np.linspace(0, rows.size - 1, 2000).astype(int))
             for side in ("L", "R"):
-                got = _batch_word_values(stack, arr, side)
+                got = _batch_word_values(stack, arr, side)[rows]
                 want = np.array(
                     [
                         lq.word_trace(sd, Word(side, tuple((i + 1, j + 1) for i, j in row)))
-                        for row in arr.tolist()
+                        for row in arr[rows].tolist()
                     ]
                 )
                 assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("rank,length", KERNEL_SWEEP)
+    def test_right_words_read_off_left(self, rank, length):
+        index = _right_to_left_index(rank, length)
+        np.testing.assert_array_equal(np.sort(index), np.arange(index.shape[0]))
+        assert not index.flags.writeable
+        sd = lq.spectral_decompose(lq.random_density(3, rank, seed=50 + rank))
+        stack = np.stack(sd.coeff_matrices)
+        arr = _canonical_letter_arrays(rank, length)
+        left = _batch_word_values(stack, arr, "L")
+        right = _batch_word_values(stack, arr, "R")
+        assert np.all(np.abs(left[index] - right) <= 1e-13 * np.maximum(1.0, np.abs(right)))
 
     def test_unsorted_rows(self):
         sd = lq.spectral_decompose(lq.random_density(3, 4, seed=45))
@@ -369,6 +401,25 @@ class TestFingerprint:
         assert a.balanced_words == b.balanced_words
         assert a.block_invariants == b.block_invariants
         np.testing.assert_array_equal(a.power_traces, b.power_traces)
+
+    def test_block_paths_searched_once(self, monkeypatch):
+        # one greedy path search per (pattern, side, N), replayed afterwards;
+        # the 3-fold and 4-fold blocks share every plan
+        searches = []
+        search = np.einsum_path
+
+        def counted(expr, *operands, **kwargs):
+            searches.append((expr, operands[0].shape))
+            return search(expr, *operands, **kwargs)
+
+        _block_plan.cache_clear()
+        monkeypatch.setattr(np, "einsum_path", counted)
+        rho = lq.random_density(3, 7, degeneracy_profile=[3, 4], seed=37)
+        first = lq.fingerprint(rho)
+        for _ in range(2):
+            assert lq.fingerprint(rho).block_invariants == first.block_invariants
+        patterns = sum(len(cycle_type_representatives(tau)) for tau in range(1, 7))
+        assert len(searches) == len(set(searches)) == 2 * patterns
 
     def test_bell_word_value(self):
         sig = lq.fingerprint(bell_density())

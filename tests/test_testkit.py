@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -69,6 +71,30 @@ class TestRandomDensity:
         a = lq.random_density(3, 5, seed=9)
         b = lq.random_density(3, 5, seed=9)
         np.testing.assert_array_equal(a.matrix, b.matrix)
+
+    def test_full_rank_n8(self):
+        # 64 Dirichlet(1) levels almost never clear the gap floors; the
+        # evenly spaced fallback does
+        sd = lq.spectral_decompose(lq.random_density(8, 64, seed=7))
+        assert sd.rank == 64
+        assert len(sd.blocks) == 64 and all(len(b) == 1 for b in sd.blocks)
+
+    @pytest.mark.parametrize(
+        "n,rank,profile,seed,digest",
+        [
+            (2, 4, None, 2, "b5e3f7d6a6f1c594d91028fbcde356177abbe4b306b5694ee28193824032314b"),
+            (3, 5, None, 9, "6a6e40889ea6ce80a6122149d5d95b19f57df88dd4efd188d4d82f734d4f92bc"),
+            (2, 4, [2, 2], 2, "7cad6f69cf15079c0bd80a59cf7cd6bc5358fb66970500dd9f49240da9447a65"),
+            (3, 9, [3, 3, 2, 1], 11,
+             "3f88532616811acd8cfede2e48786f7491ea86bf722eb0577b5ea2e7a8f40fdc"),
+            (4, 16, None, 3, "d560f64c109fa110942781144397afcec1bbb94250d29e6566ba45bba50eee93"),
+        ],
+    )
+    def test_dirichlet_draws_unchanged(self, n, rank, profile, seed, digest):
+        # SHA-256 of the matrix bytes as drawn before the fallback existed
+        # (numpy 2.4, x86-64): a draw that succeeds stays bit-identical
+        m = lq.random_density(n, rank, degeneracy_profile=profile, seed=seed).matrix
+        assert hashlib.sha256(m.tobytes()).hexdigest() == digest
 
 
 class TestMatrixExponential:
