@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""One line per decided pair, for diffing the verdicts of two checkouts.
+
+Each line holds, tab-separated: the pair's name, the outcome, the reason,
+the witness key ("-" without a witness), the certificate attempts as
+mode/null_dim, and the SHA-256 of the certificate's u and w bytes ("-"
+without a certificate).  Run it from the root of each checkout and diff:
+
+    PYTHONPATH=src python scripts/verdict_digest.py > before.txt
+    PYTHONPATH=src python scripts/verdict_digest.py > after.txt
+    diff before.txt after.txt
+
+Corpora (all by default, or name them with --corpus):
+
+    known-answers  tests/test_known_answers.py, forward, swapped and with
+                   the second state moved by 1e-12
+    decide-order   tests/test_decide_order.py, forward and swapped
+    criterion-3    the orbit pairs of acceptance criterion 3
+    agreement      build_corpus of scripts/run_agreement_corpus.py,
+                   60 pairs at N=2 and at N=3, seed 0, both ways
+    decide-orbit   the lubench decide-orbit inputs, seeds 1-4, both ways
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+for sub in ("tests", "scripts", "lubench"):
+    sys.path.insert(0, str(ROOT / sub))
+
+import luequiv as lq  # noqa: E402
+
+
+def known_answers():
+    import test_known_answers as ka
+
+    for k, (name, a, b) in enumerate(ka.corpus()):
+        yield name, a, b
+        yield f"{name} swapped", b, a
+        yield f"{name} perturbed", a, ka._perturbed(b, 1700 + k)
+
+
+def decide_order():
+    import test_decide_order as do
+
+    for name, a, b in do.corpus():
+        yield name, a, b
+        yield f"{name} swapped", b, a
+
+
+def criterion_3():
+    from conftest import orbit_pair
+
+    # the loop of tests/test_acceptance.py::test_criterion_3_...
+    for n in (2, 3):
+        for k in range(100):
+            rho, rho2, _, _ = orbit_pair(n, 1 + k % (n * n), seed=7000 + 1000 * n + k)
+            yield f"criterion-3:n{n}-k{k}", rho, rho2
+
+
+def agreement():
+    from run_agreement_corpus import build_corpus
+
+    for n in (2, 3):
+        for k, (a, b, _) in enumerate(build_corpus(n, 60, 0)):
+            yield f"agreement:n{n}-{k}", a, b
+            yield f"agreement:n{n}-{k} swapped", b, a
+
+
+def decide_orbit():
+    import workloads
+
+    for seed in (1, 2, 3, 4):
+        for kind in workloads.orbit_kinds(lq, seed, None):
+            for c, (_, _, a, b) in enumerate(kind.cases):
+                yield f"decide-orbit:s{seed}-{kind.name}-{c}", a, b
+                yield f"decide-orbit:s{seed}-{kind.name}-{c} swapped", b, a
+
+
+CORPORA = {
+    "known-answers": known_answers,
+    "decide-order": decide_order,
+    "criterion-3": criterion_3,
+    "agreement": agreement,
+    "decide-orbit": decide_orbit,
+}
+
+
+def digest_line(name: str, verdict) -> str:
+    attempts = " ".join(
+        f"{a['mode']}/{a.get('null_dim', '-')}" for a in verdict.details.get("attempts", [])
+    )
+    cert = verdict.certificate
+    bits = "-"
+    if cert is not None:
+        raw = b"".join(np.ascontiguousarray(m, dtype=complex).tobytes() for m in (cert.u, cert.w))
+        bits = hashlib.sha256(raw).hexdigest()
+    key = verdict.witness.key if verdict.witness is not None else "-"
+    return "\t".join([name, verdict.outcome, verdict.reason, key, attempts or "-", bits])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--corpus", action="append", choices=list(CORPORA),
+                        help="corpus to run (repeatable; default all)")
+    args = parser.parse_args()
+    for corpus in args.corpus or list(CORPORA):
+        for name, a, b in CORPORA[corpus]():
+            print(digest_line(name, lq.decide(a, b)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -14,7 +14,7 @@ Exit codes (stable):
     0  success / states equivalent
     1  states not equivalent / certificate check failed
     2  inconclusive
-    3  parse or I/O error
+    3  parse, usage or I/O error
     4  not Hermitian          5  trace differs from one
     6  not positive semidefinite
     7  dimension mismatch     8  not unitary
@@ -67,7 +67,7 @@ EXIT_DIMENSION = 7
 EXIT_NOT_UNITARY = 8
 EXIT_LIBRARY = 9
 
-_ERROR_CODES = [
+_ERROR_CODES = [  # first match wins; the base class last catches the rest
     (ParseError, EXIT_PARSE),
     (NotHermitian, EXIT_NOT_HERMITIAN),
     (NotUnitTrace, EXIT_NOT_UNIT_TRACE),
@@ -78,30 +78,27 @@ _ERROR_CODES = [
 ]
 
 
-def _error_code(exc: Exception) -> int:
-    for cls, code in _ERROR_CODES:
-        if isinstance(exc, cls):
-            return code
-    return EXIT_LIBRARY
+# flag -> (the Tolerances field it sets, or None; argparse keywords).
+# Each subcommand adds only the flags it reads.
+_FLAGS = {
+    "--json": (None, dict(action="store_true", help="machine-readable output")),
+    "--no-validate": (None, dict(action="store_true", help="skip density-matrix validation")),
+    "--seed": (None, dict(type=int, default=0, help="random seed")),
+    "--tau-cap": ("tau_cap", dict(type=int, help="maximum word length")),
+    "--eps-inv": ("eps_inv", dict(type=float, help="invariant comparison tolerance")),
+    "--eps-cert": ("eps_cert", dict(type=float, help="certificate residual tolerance")),
+    "--eps-deg": ("eps_deg", dict(type=float, help="degeneracy gap tolerance")),
+}
 
 
 def _tolerances(args) -> Tolerances:
-    overrides = {}
-    if getattr(args, "eps_inv", None) is not None:
-        overrides["eps_inv"] = args.eps_inv
-    if getattr(args, "eps_cert", None) is not None:
-        overrides["eps_cert"] = args.eps_cert
-    if getattr(args, "eps_deg", None) is not None:
-        overrides["eps_deg"] = args.eps_deg
-    if getattr(args, "tau_cap", None) is not None:
-        overrides["tau_cap"] = args.tau_cap
-    if getattr(args, "seed", None) is not None:
-        overrides["search_seed"] = args.seed
-    return DEFAULT_TOL.replace(**overrides) if overrides else DEFAULT_TOL
-
-
-def _tol_doc(tol: Tolerances) -> dict:
-    return {k: v for k, v in tol.as_dict().items()}
+    """DEFAULT_TOL with the fields of the tolerance flags given on the line."""
+    overrides = {
+        field: getattr(args, field)
+        for field, _ in _FLAGS.values()
+        if field and getattr(args, field, None) is not None
+    }
+    return DEFAULT_TOL.replace(**overrides)
 
 
 def _signature_doc(path: str, tol: Tolerances, validate: bool) -> dict:
@@ -121,13 +118,12 @@ def _signature_doc(path: str, tol: Tolerances, validate: bool) -> dict:
         "block_invariants": {k: complex_to_pair(v) for k, v in sig.block_invariants.items()},
         "tau_balanced": sig.tau_balanced,
         "tau_block": sig.tau_block,
-        "tolerances": _tol_doc(tol),
+        "tolerances": tol.as_dict(),
     }
 
 
 def cmd_validate(args) -> int:
-    tol = _tolerances(args)
-    rho, label = load_state(args.state, tol, validate=True)
+    rho, label = load_state(args.state, DEFAULT_TOL, validate=True)
     print(f"valid density matrix: N={rho.dim_local}" + (f" label={label!r}" if label else ""))
     return EXIT_OK
 
@@ -155,7 +151,7 @@ def cmd_compare(args) -> int:
         "reason": verdict.reason,
         "witness": None,
         "certificate": None,
-        "tolerances": _tol_doc(tol),
+        "tolerances": tol.as_dict(),
         "details": verdict.details,
     }
     if verdict.witness is not None:
@@ -262,18 +258,22 @@ def cmd_certify(args) -> int:
     return EXIT_OK if ok else EXIT_NOT_EQUIVALENT
 
 
-def _add_common(p: argparse.ArgumentParser, seed_default=None) -> None:
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--no-validate", action="store_true", help="skip density-matrix validation")
-    p.add_argument("--tau-cap", type=int, default=None, help="maximum word length")
-    p.add_argument("--seed", type=int, default=seed_default, help="random seed")
-    p.add_argument("--eps-inv", type=float, default=None, help="invariant comparison tolerance")
-    p.add_argument("--eps-cert", type=float, default=None, help="certificate residual tolerance")
-    p.add_argument("--eps-deg", type=float, default=None, help="degeneracy gap tolerance")
+class _Parser(argparse.ArgumentParser):
+    """Ends usage errors with EXIT_PARSE, not argparse's 2 (inconclusive)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        field, kwargs = _FLAGS[flag]
+        p.add_argument(flag, dest=field, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="luequiv",
         description="Local-unitary equivalence of bipartite density matrices.",
         epilog=__doc__.split("Exit codes")[1].join(["Exit codes", ""]),
@@ -284,25 +284,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a state file")
     p.add_argument("state")
-    _add_common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("fingerprint", help="print the invariant signature")
     p.add_argument("state")
-    _add_common(p)
+    _add_flags(p, "--no-validate", "--tau-cap", "--eps-deg")
     p.set_defaults(func=cmd_fingerprint)
 
     p = sub.add_parser("compare", help="decide local-unitary equivalence")
     p.add_argument("state_a")
     p.add_argument("state_b")
     p.add_argument("--report", default=None, help="also write the JSON report here")
-    _add_common(p)
+    _add_flags(p, "--json", "--no-validate", "--tau-cap", "--eps-inv", "--eps-cert", "--eps-deg")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("orbit", help="conjugate a state by seeded local unitaries")
     p.add_argument("state")
     p.add_argument("--out", required=True, help="output state file")
-    _add_common(p, seed_default=0)
+    _add_flags(p, "--seed", "--no-validate")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("oracle", help="brute-force equivalence oracle")
@@ -310,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state_b")
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--iters", type=int, default=2000)
-    _add_common(p, seed_default=0)
+    _add_flags(p, "--seed", "--no-validate")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("certify", help="re-verify a report's certificate")
     p.add_argument("report")
     p.add_argument("state_a")
     p.add_argument("state_b")
-    _add_common(p)
+    _add_flags(p, "--eps-cert", "--no-validate")
     p.set_defaults(func=cmd_certify)
 
     return parser
@@ -330,7 +329,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except LuequivError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _error_code(exc)
+        return next(code for cls, code in _ERROR_CODES if isinstance(exc, cls))
 
 
 def entrypoint() -> None:  # console script

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    """All numerical thresholds and search budgets in one record.
+    """All numerical thresholds and the word budget in one record.
 
     Every comparison the library makes is controlled from here so that a
     verdict can be reproduced from the tolerances recorded in a report.
@@ -28,8 +28,6 @@ class Tolerances:
     eps_oracle: float = 1e-6      # convergence threshold of the brute-force oracle
     tau_cap: int | None = None    # max word length; None -> min(N^2, 6)
     word_eval_limit: int = 1_000_000   # hard cap on word evaluations per signature
-    null_space_draws: int = 64    # random combinations tried per null space
-    search_seed: int = 1789       # fixed seed for the null-space search
 
     def effective_tau_cap(self, dim_local: int) -> int:
         if self.tau_cap is not None:

@@ -1,5 +1,6 @@
 """End-to-end command line tests through subprocess."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import luequiv as lq
+from luequiv.cli import build_parser
 from luequiv.io import save_state
 
 from conftest import bell_density
@@ -155,3 +157,60 @@ class TestHelp:
         assert res.returncode == 0
         assert "Exit codes" in res.stdout
         assert "inconclusive" in res.stdout
+
+    def test_version_exits_zero(self):
+        res = run_cli("--version")
+        assert res.returncode == 0
+        assert res.stdout.startswith("luequiv ")
+
+
+class TestUsageErrors:
+    """A usage error exits 3 (parse error), never 2, which means inconclusive."""
+
+    def test_unknown_flag(self, states):
+        res = run_cli("compare", states["bell"], states["bell"], "--bogus")
+        assert res.returncode == 3
+        assert "unrecognized arguments: --bogus" in res.stderr
+
+    def test_flag_the_subcommand_does_not_read(self, states):
+        res = run_cli("fingerprint", states["bell"], "--json")
+        assert res.returncode == 3
+        assert "--json" in res.stderr
+
+    def test_flag_without_its_value(self, states):
+        res = run_cli("certify", states["bell"], states["bell"], states["bell"], "--eps-cert")
+        assert res.returncode == 3
+
+
+# the flags each subcommand reads, and no others
+FLAGS = {
+    "validate": set(),
+    "fingerprint": {"--no-validate", "--tau-cap", "--eps-deg"},
+    "compare": {"--report", "--json", "--no-validate", "--tau-cap", "--eps-inv",
+                "--eps-cert", "--eps-deg"},
+    "orbit": {"--out", "--seed", "--no-validate"},
+    "oracle": {"--restarts", "--iters", "--seed", "--no-validate"},
+    "certify": {"--eps-cert", "--no-validate"},
+}
+
+
+class TestFlags:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == set(FLAGS)
+        for name, p in sub.choices.items():
+            flags = {s for a in p._actions for s in a.option_strings if s.startswith("--")}
+            assert flags - {"--help"} == FLAGS[name], name
+
+    def test_tolerance_flags_reach_the_computation(self, states, tmp_path):
+        doc = json.loads(run_cli("fingerprint", states["bell"], "--tau-cap", 1).stdout)
+        assert (doc["tau_balanced"], doc["tolerances"]["tau_cap"]) == (1, 1)
+        assert len(doc["tolerances"]) == 15
+        report = tmp_path / "report.json"
+        assert run_cli("compare", states["bell"], states["bell"], "--report", report).returncode == 0
+        # the identity certificate leaves ||bell - 1/4||_F = sqrt(3)/2 between these
+        assert run_cli("certify", report, states["bell"], states["mixed"]).returncode == 1
+        res = run_cli("certify", report, states["bell"], states["mixed"], "--eps-cert", 0.9)
+        assert res.returncode == 0 and json.loads(res.stdout)["eps_cert"] == 0.9

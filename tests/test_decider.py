@@ -325,11 +325,32 @@ class TestCertificateWork:
         rho2 = lq.apply_local_unitary(rho, lq.haar_unitary(4, rng), lq.haar_unitary(4, rng))
         svds = count_calls(monkeypatch, "nullspace")
         searches = count_calls(monkeypatch, "_search_pair")
+        certifies = count_calls(monkeypatch, "certify")
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == INCONCLUSIVE
         assert (len(svds), len(searches)) == (4, 2)
         modes = [a["mode"] for a in verdict.details["attempts"]]
         assert modes == ["identity", "product", "coupled"]
+        # the identity check, then at most k + 1 candidates per k-dimensional space
+        dims = [a["null_dim"] for a in verdict.details["attempts"][1:]]
+        assert dims == [198, 1]
+        assert len(certifies) <= 1 + sum(k + 1 for k in dims)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_failing_search_certifies_at_most_k_plus_one_times(self, monkeypatch, k):
+        # two states with different spectra and k orthonormal directions
+        # whose halves are nonsingular: every candidate reaches certify and
+        # none passes; the basis rows come first, then one combination
+        rho, rho2 = lq.random_density(2, 4, seed=310), lq.random_density(2, 4, seed=311)
+        rng = np.random.default_rng(312)
+        z = rng.standard_normal((8, k)) + 1j * rng.standard_normal((8, k))
+        vecs = np.linalg.qr(z)[0].T
+        certifies = count_calls(monkeypatch, "certify")
+        found = decider._search_pair(
+            rho, rho2, vecs, DEFAULT_TOL, lambda c: (c[:4].reshape(2, 2), c[4:].reshape(2, 2))
+        )
+        assert found is None
+        assert len(certifies) == k + (k >= 2)
 
     def test_one_singleton_tries_the_coupled_system_first(self):
         # a pure state: one singleton, whose coupling rows need no phase
