@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""One line per decided pair, for diffing the verdicts of two checkouts.
+"""One line per decided pair or CLI report, for diffing two checkouts.
 
-Each line holds, tab-separated: the pair's name, the outcome, the reason,
-the witness key ("-" without a witness), the certificate attempts as
-mode/null_dim, and the SHA-256 of the certificate's u and w bytes ("-"
-without a certificate).  Run it from the root of each checkout and diff:
+For a decided pair a line holds, tab-separated: the pair's name, the
+outcome, the reason, the witness key ("-" without a witness), the
+certificate attempts as mode/null_dim, and the SHA-256 of the
+certificate's u and w bytes ("-" without a certificate).  For a CLI
+report it holds the subcommand, the input's name, the exit code and the
+SHA-256 of the bytes written to stdout.  Run it from the root of each
+checkout and diff:
 
     PYTHONPATH=src python scripts/verdict_digest.py > before.txt
     PYTHONPATH=src python scripts/verdict_digest.py > after.txt
@@ -19,13 +22,19 @@ Corpora (all by default, or name them with --corpus):
     agreement      build_corpus of scripts/run_agreement_corpus.py,
                    60 pairs at N=2 and at N=3, seed 0, both ways
     decide-orbit   the lubench decide-orbit inputs, seeds 1-4, both ways
+    cli-reports    luequiv.cli.main, in process, on the lubench cli
+                   inputs of seeds 1-2 and on the states of
+                   tests/test_cli.py (each subcommand but validate)
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +44,7 @@ for sub in ("tests", "scripts", "lubench"):
     sys.path.insert(0, str(ROOT / sub))
 
 import luequiv as lq  # noqa: E402
+import luequiv.cli  # noqa: E402,F401
 
 
 def known_answers():
@@ -83,12 +93,56 @@ def decide_orbit():
                 yield f"decide-orbit:s{seed}-{kind.name}-{c} swapped", b, a
 
 
+def _cli_inputs(tmp: Path):
+    """(name, argv) per CLI call; later calls read the files earlier ones write."""
+    import workloads
+    from test_cli import write_states
+
+    for seed in (1, 2):
+        workdir = tmp / f"s{seed}"
+        workdir.mkdir()
+        for kind in workloads.cli_kinds(lq, seed, workdir):
+            for c, case in enumerate(kind.cases):
+                yield f"cli-reports:s{seed}-{kind.name}-{c}", case[-1]
+    states = write_states(tmp)
+    for name, path in states.items():
+        yield f"cli-reports:{name}", ["fingerprint", path]
+    yield "cli-reports:bell tau-cap 1", ["fingerprint", states["bell"], "--tau-cap", "1"]
+    for a in ("mixed", "bell", "flat_a", "flat_b"):
+        for b in ("mixed", "bell", "flat_a", "flat_b"):
+            yield f"cli-reports:{a}-{b}", ["compare", states[a], states[b], "--json"]
+    moved, report = tmp / "moved.json", tmp / "report.json"
+    yield "cli-reports:bell seed 11", ["orbit", states["bell"], "--seed", "11", "--out", moved]
+    yield "cli-reports:bell-moved", ["compare", states["bell"], moved, "--json", "--report", report]
+    yield "cli-reports:report bell-moved", ["certify", report, states["bell"], moved]
+    yield "cli-reports:report bell-mixed", ["certify", report, states["bell"], states["mixed"]]
+    yield "cli-reports:mixed-mixed oracle", [
+        "oracle", states["mixed"], states["mixed"], "--restarts", "1", "--iters", "50"
+    ]
+
+
+def cli_reports():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in _cli_inputs(Path(tmp)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = lq.cli.main([str(a) for a in argv])
+            sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            yield "\t".join([argv[0], name, str(code), sha])
+
+
+def _verdicts(pairs):
+    """A corpus of decided pairs, as digest lines."""
+    return lambda: (digest_line(name, lq.decide(a, b)) for name, a, b in pairs())
+
+
 CORPORA = {
-    "known-answers": known_answers,
-    "decide-order": decide_order,
-    "criterion-3": criterion_3,
-    "agreement": agreement,
-    "decide-orbit": decide_orbit,
+    "known-answers": _verdicts(known_answers),
+    "decide-order": _verdicts(decide_order),
+    "criterion-3": _verdicts(criterion_3),
+    "agreement": _verdicts(agreement),
+    "decide-orbit": _verdicts(decide_orbit),
+    "cli-reports": cli_reports,
 }
 
 
@@ -113,8 +167,8 @@ def main() -> int:
                         help="corpus to run (repeatable; default all)")
     args = parser.parse_args()
     for corpus in args.corpus or list(CORPORA):
-        for name, a, b in CORPORA[corpus]():
-            print(digest_line(name, lq.decide(a, b)), flush=True)
+        for line in CORPORA[corpus]():
+            print(line, flush=True)
     return 0
 
 

@@ -45,7 +45,6 @@ from .errors import (
 from .invariants import fingerprint
 from .io import (
     REPORT_SCHEMA_VERSION,
-    complex_to_pair,
     dump_json,
     file_digest,
     load_state,
@@ -114,8 +113,8 @@ def _signature_doc(path: str, tol: Tolerances, validate: bool) -> dict:
         "rank": sig.rank,
         "block_sizes": list(sig.block_sizes),
         "power_traces": [float(x) for x in sig.power_traces],
-        "balanced_words": {k: complex_to_pair(v) for k, v in sig.balanced_words.items()},
-        "block_invariants": {k: complex_to_pair(v) for k, v in sig.block_invariants.items()},
+        "balanced_words": sig.balanced_words,
+        "block_invariants": sig.block_invariants,
         "tau_balanced": sig.tau_balanced,
         "tau_block": sig.tau_block,
         "tolerances": tol.as_dict(),
@@ -158,8 +157,8 @@ def cmd_compare(args) -> int:
         doc["witness"] = {
             "kind": verdict.witness.kind,
             "key": verdict.witness.key,
-            "value_a": complex_to_pair(verdict.witness.value_a),
-            "value_b": complex_to_pair(verdict.witness.value_b),
+            "value_a": complex(verdict.witness.value_a),
+            "value_b": complex(verdict.witness.value_b),
         }
     if verdict.certificate is not None:
         doc["certificate"] = {

@@ -456,13 +456,12 @@ class InvariantSignature:
         if self._balanced_cache is None:
             # letters are 1-based indices <= rank; code i*m + j labels (i, j)
             m = self.rank + 1
-            labels = [f"({c // m},{c % m})" for c in range(m * m)]
+            labels = np.array([f"({c // m},{c % m})" for c in range(m * m)], dtype=object)
             out: dict[str, complex] = {}
             for g in self.balanced_groups:
-                prefix = g.side + ":"
                 codes = g.letters[:, :, 0] * m + g.letters[:, :, 1]
-                for row, val in zip(codes.tolist(), g.values.tolist()):
-                    out[prefix + "".join([labels[c] for c in row])] = val
+                keys = map((g.side + ":").__add__, map("".join, labels[codes].tolist()))
+                out.update(zip(keys, g.values.tolist()))
             self._balanced_cache = out
         return self._balanced_cache
 

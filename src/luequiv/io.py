@@ -11,13 +11,23 @@ State file schema (version 1)::
 
 Complex numbers are always [re, im] pairs of doubles; serialization uses
 Python's shortest-round-trip float repr, so files are bit-faithful and
-diff cleanly.
+diff cleanly.  A matrix entry that is not a list of exactly two numbers
+(a string, a triple, a pair of booleans) is a `ParseError`.
+
+State files and reports are written by `dump_json`, whose bytes are those
+of ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` (a parity test
+pins this), except that it also accepts `complex` values and writes each
+as its [re, im] pair.  It formats the large word and block tables of a
+fingerprint report in one pass instead of through the standard library's
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +38,7 @@ from .states import DensityMatrix, validate_density
 
 STATE_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
+_INF = float("inf")
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
@@ -35,16 +46,23 @@ def matrix_to_pairs(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
+_NUMBER = {int, float}  # exact types: JSON booleans are not numbers
+
+
 def pairs_to_matrix(data) -> np.ndarray:
+    """Rows of [re, im] entries as a complex matrix; each entry is two JSON numbers."""
     try:
-        rows = []
-        for row in data:
-            rows.append([complex(float(z[0]), float(z[1])) for z in row])
-        out = np.array(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
+        entries = list(chain.from_iterable(data))
+        numbers = list(chain.from_iterable(entries))
+        if (
+            len(set(map(len, data))) != 1
+            or set(map(len, entries)) != {2}
+            or not set(map(type, numbers)) <= _NUMBER
+        ):
+            raise ParseError("matrix must be equal rows of [re, im] pairs of numbers")
+        out = np.array(numbers, dtype=float).view(complex).reshape(len(data), -1)
+    except (TypeError, OverflowError) as exc:
         raise ParseError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    if out.ndim != 2:
-        raise ParseError("matrix must be a nested array")
     if not np.all(np.isfinite(out.view(float))):
         raise ParseError("matrix contains non-finite entries")
     return out
@@ -54,8 +72,59 @@ def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _complex_table(d: dict, pad: str) -> str:
+    """A non-empty dict of complex values, its keys sorted, in one pass."""
+    keys = sorted(d)
+    z = np.array([d[k] for k in keys], dtype=complex)
+    num = float.__repr__ if np.isfinite(z).all() else _float
+    inner, sep = pad + "    ", ",\n" + pad + "  "
+    row = "{}: [\n" + inner + "{},\n" + inner + "{}\n" + pad + "  ]"
+    rows = map(row.format, map(_quote, keys), map(num, z.real.tolist()), map(num, z.imag.tolist()))
+    return f"{{\n{pad}  {sep.join(rows)}\n{pad}}}"  # one copy of the joined rows
+
+
+def _encode(o, pad: str) -> str:
+    """``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` writes it at depth ``pad``."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, complex):
+        o = [o.real, o.imag]
+    if not isinstance(o, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner, sep = pad + "  ", ",\n" + pad + "  "
+    if isinstance(o, dict):
+        if all(issubclass(t, complex) for t in set(map(type, o.values()))):
+            return _complex_table(o, pad)
+        items = [_quote(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
+    return f"[\n{inner}{sep.join([_encode(v, inner) for v in o])}\n{pad}]"
+
+
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Indented JSON with sorted keys; complex values become [re, im] pairs."""
+    return _encode(doc, "") + "\n"
 
 
 def save_state(path, matrix, local_dim: int, label: str | None = None) -> None:
@@ -92,7 +161,3 @@ def load_state(
     if matrix.shape != (n * n, n * n):
         raise ParseError(f"{path}: matrix shape {matrix.shape} does not match local_dim {n}")
     return DensityMatrix(n, matrix), label
-
-
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]

@@ -23,23 +23,28 @@ def run_cli(*args):
     )
 
 
+def write_states(directory):
+    """The state files these tests run on, written into ``directory``."""
+    save_state(directory / "mixed.json", np.eye(4, dtype=complex) / 4, 2, label="mixed")
+    save_state(directory / "bell.json", bell_density().matrix, 2, label="bell")
+    save_state(
+        directory / "flat_a.json", np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), 2
+    )
+    save_state(
+        directory / "flat_b.json", np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex), 2
+    )
+    save_state(
+        directory / "trace2.json", np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex), 2
+    )
+    return {
+        name: directory / f"{name}.json"
+        for name in ("mixed", "bell", "flat_a", "flat_b", "trace2")
+    }
+
+
 @pytest.fixture
 def states(tmp_path):
-    paths = {}
-    save_state(tmp_path / "mixed.json", np.eye(4, dtype=complex) / 4, 2, label="mixed")
-    save_state(tmp_path / "bell.json", bell_density().matrix, 2, label="bell")
-    save_state(
-        tmp_path / "flat_a.json", np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), 2
-    )
-    save_state(
-        tmp_path / "flat_b.json", np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex), 2
-    )
-    save_state(
-        tmp_path / "trace2.json", np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex), 2
-    )
-    for name in ("mixed", "bell", "flat_a", "flat_b", "trace2"):
-        paths[name] = tmp_path / f"{name}.json"
-    return paths
+    return write_states(tmp_path)
 
 
 class TestValidate:
@@ -63,6 +68,16 @@ class TestValidate:
         save_state(tmp_path / "odd.json", np.eye(4, dtype=complex) / 4, 3)
         res = run_cli("validate", tmp_path / "odd.json")
         assert res.returncode == 7
+
+    @pytest.mark.parametrize("entry", ["12", [1, 2, 3], [True, False]])
+    def test_malformed_entry(self, states, tmp_path, entry):
+        doc = json.loads(states["mixed"].read_text())
+        doc["matrix"][0][1] = entry
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        res = run_cli("validate", bad)
+        assert res.returncode == 3
+        assert "[re, im] pairs" in res.stderr
 
 
 class TestFingerprint:
@@ -149,6 +164,31 @@ class TestOracleCommand:
         assert res.returncode == 0
         doc = json.loads(res.stdout)
         assert doc["converged"] and doc["best_distance"] <= 1e-10
+
+
+class TestReportBytes:
+    """Each kind of report is what the standard library writes for its content."""
+
+    def test_reports_match_json_dumps(self, states, tmp_path):
+        moved, report = tmp_path / "moved.json", tmp_path / "report.json"
+        runs = {
+            "orbit": run_cli("orbit", states["bell"], "--seed", 3, "--out", moved),
+            "fingerprint": run_cli("fingerprint", states["bell"]),
+            "fingerprint degenerate": run_cli("fingerprint", states["flat_a"]),
+            "equivalent": run_cli(
+                "compare", states["bell"], moved, "--json", "--report", report
+            ),
+            "not_equivalent": run_cli("compare", states["flat_a"], states["flat_b"], "--json"),
+            "certify": run_cli("certify", report, states["bell"], moved),
+        }
+        docs = {name: json.loads(res.stdout) for name, res in runs.items()}
+        assert docs["fingerprint"]["balanced_words"]
+        assert docs["fingerprint degenerate"]["block_invariants"]
+        assert docs["equivalent"]["certificate"] is not None
+        assert docs["not_equivalent"]["witness"] is not None
+        for name, res in runs.items():
+            want = json.dumps(docs[name], sort_keys=True, indent=2) + "\n"
+            assert res.stdout == want, name
 
 
 class TestHelp:

@@ -13,6 +13,7 @@ from luequiv.invariants import (
     _block_plan,
     _canonical_letter_arrays,
     _right_to_left_index,
+    _word_key,
     count_balanced_words,
     cycle_type_representatives,
     fingerprint_from_decomposition,
@@ -394,6 +395,17 @@ class TestFingerprint:
         sig = lq.fingerprint(rho)
         assert sig.balanced_groups == []
         assert len(sig.block_invariants) > 0
+
+    @pytest.mark.parametrize("n, rank, profile", [(3, 3, None), (3, 4, [2, 1, 1])])
+    def test_word_keys_follow_the_groups(self, n, rank, profile):
+        # keys, their order and values, against the per-row key of each group
+        sig = lq.fingerprint(lq.random_density(n, rank, degeneracy_profile=profile, seed=38))
+        assert sig.balanced_groups
+        assert list(sig.balanced_words.items()) == [
+            (_word_key(g.side, row), v)
+            for g in sig.balanced_groups
+            for row, v in zip(g.letters, g.values.tolist())
+        ]
 
     def test_deterministic(self):
         rho = lq.random_density(2, 3, seed=36)

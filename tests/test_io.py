@@ -1,0 +1,84 @@
+"""The JSON writer and the state-file matrix reader."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from luequiv.errors import ParseError
+from luequiv.io import dump_json, pairs_to_matrix
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, math.nan,
+                  math.inf, -math.inf, 1e300, 0.1]
+floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL_FLOATS)
+ints = st.integers() | st.sampled_from([2 ** 64, -(10 ** 30), 10 ** 100])
+text = st.text() | st.sampled_from(["", "é", "\x00\x1f\x7f", " ", "\U0001f600", '"\\'])
+complexes = st.builds(complex, floats, floats)
+leaves = (
+    st.none() | st.booleans() | ints | floats | text | complexes
+    | st.builds(np.float64, floats)
+)
+docs = st.recursive(
+    leaves,
+    lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(text, kids, max_size=4)
+        | st.dictionaries(text, complexes, max_size=4)  # the one-pass table
+    ),
+    max_leaves=20,
+)
+
+
+def as_pairs(o):
+    """``o`` with every complex replaced by its [re, im] list."""
+    if isinstance(o, complex):
+        return [o.real, o.imag]
+    if isinstance(o, dict):
+        return {k: as_pairs(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [as_pairs(v) for v in o]
+    return o
+
+
+class TestDumpJson:
+    @given(docs)
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_the_standard_library(self, doc):
+        assert dump_json(doc) == json.dumps(as_pairs(doc), sort_keys=True, indent=2) + "\n"
+
+    def test_complex_table_with_special_values(self):
+        table = {"b": complex(-0.0, math.nan), "a": np.complex128(math.inf, -0.0), "c": 1j}
+        for doc in (table, {"t": table, "u": [table]}):
+            assert dump_json(doc) == json.dumps(as_pairs(doc), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("leaf", [object(), np.int64(1), {1, 2}, b"bytes"])
+    def test_unsupported_leaf(self, leaf):
+        with pytest.raises(TypeError):
+            json.dumps({"k": [leaf]})
+        with pytest.raises(TypeError):
+            dump_json({"k": [leaf]})
+
+
+class TestPairsToMatrix:
+    def test_numbers(self):
+        m = pairs_to_matrix([[[1, 0.5], [-0.0, 2]]])
+        assert m.dtype == complex and m.tolist() == [[1 + 0.5j, 2j]]
+
+    @pytest.mark.parametrize("entry", [
+        "12",            # a string used to parse as 1+2j
+        [1, 2, 3],       # a triple used to drop its third number
+        [True, False],   # booleans used to parse as 1+0j
+        [1],
+        [1, "2"],
+        [None, 0],
+        {"re": 1, "im": 0},
+        1.0,
+        [10 ** 400, 0],
+    ])
+    def test_rejects_malformed_entries(self, entry):
+        with pytest.raises(ParseError):
+            pairs_to_matrix([[[0.5, 0.0], entry]])
