@@ -24,6 +24,7 @@ Exit codes (stable):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -271,7 +272,9 @@ def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument(flag, dest=field, **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = _Parser(
         prog="luequiv",
         description="Local-unitary equivalence of bipartite density matrices.",

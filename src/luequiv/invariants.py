@@ -16,8 +16,9 @@ decomposition-independent: power traces of the density matrix, balanced
 words over singleton (nondegenerate) indices, and patterned block sums.
 
 Evaluation.  A word of length L splits into a prefix of ceil(L/2) letters
-and a suffix of floor(L/2); each distinct prefix and each distinct suffix
-is multiplied out once, and the word's value is Tr(P S).  Right-side words
+and a suffix of floor(L/2); every suffix is multiplied out once per call,
+each distinct prefix once per block of rows, and the word's value is
+Tr(P S).  Right-side words
 are not evaluated at all: by trace cyclicity
 
     Tr(A_{i1}^dag A_{j1} ... A_{iL}^dag A_{jL})
@@ -33,7 +34,6 @@ pattern, side and N.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import string
 from dataclasses import dataclass, field
@@ -137,38 +137,28 @@ def count_balanced_words(n: int, length: int) -> int:
     return total
 
 
-def _balanced_pair_arrays(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (left, right) index-sequence pairs sharing a multiset, 0-based."""
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for seq in itertools.product(range(n), repeat=length):
-        groups.setdefault(tuple(sorted(seq)), []).append(seq)
-    lefts, rights = [], []
-    for key in sorted(groups):
-        perms = np.array(groups[key], dtype=np.int64)
-        p = perms.shape[0]
-        lefts.append(np.repeat(perms, p, axis=0))
-        rights.append(np.tile(perms, (p, 1)))
-    if not lefts:
-        return np.zeros((0, length), np.int64), np.zeros((0, length), np.int64)
-    return np.concatenate(lefts), np.concatenate(rights)
+# (left, right) pairs per batch of the canonical-word search; bounds its
+# temporaries whatever the number of balanced words
+_PAIR_BATCH = 1 << 15
 
 
-def _min_rotation_codes(codes: np.ndarray, base: int) -> np.ndarray:
-    """Packed code of each row's lexicographically least cyclic rotation.
+def _pack(codes: np.ndarray, base: int) -> np.ndarray:
+    """(W, length) letter codes in [0, base) to (W,) base-``base`` integers.
 
-    ``codes`` holds letter codes in [0, base); a row packs to the base-``base``
-    integer with its first letter most significant, so packed order is
-    lexicographic letter order.
+    The first letter is most significant, so packed order is lexicographic
+    letter order.
     """
-    length = codes.shape[1]
-    powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    return np.min([np.roll(codes, -r, axis=1) @ powers for r in range(length)], axis=0)
+    return codes @ base ** np.arange(codes.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
-def _unpack_codes(packed: np.ndarray, base: int, length: int) -> np.ndarray:
-    """Inverse of the packing: (W,) packed codes to (W, length) letter codes."""
-    powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    return packed[:, None] // powers % base
+def _least_rotation(packed: np.ndarray, base: int, length: int) -> np.ndarray:
+    """Packed code of each word's lexicographically least cyclic rotation."""
+    top = base ** (length - 1)
+    least = rot = packed
+    for _ in range(length - 1):
+        rot = rot % top * base + rot // top  # first letter moves to the end
+        least = np.minimum(least, rot)
+    return least
 
 
 @functools.lru_cache(maxsize=128)
@@ -182,16 +172,42 @@ def _canonical_letter_arrays(n: int, length: int) -> np.ndarray:
     unsigned dtype that holds them (uint8 for n <= N^2 <= 64), which keeps
     the cached arrays small, and the array is read-only because every
     caller shares it.
+
+    A balanced word pairs a left and a right index sequence with the same
+    multiset.  Its canonical rotation starts with its least letter, whose
+    left index is the least left index, so only left sequences that start
+    with their minimum are paired, each with every sequence of its
+    multiset group; a pair is kept when its packed code is its own least
+    rotation.  Each canonical word is met exactly once, and the pairs are
+    formed in batches of at most about ``_PAIR_BATCH`` rows.
     """
     dtype = np.min_scalar_type(n - 1)
-    lefts, rights = _balanced_pair_arrays(n, length)
-    if lefts.shape[0] == 0:
-        out = np.zeros((0, length, 2), dtype)
-        out.flags.writeable = False
-        return out
     base = n * n
-    canon = _unpack_codes(np.unique(_min_rotation_codes(lefts * n + rights, base)), base, length)
-    out = np.stack([canon // n, canon % n], axis=2).astype(dtype)
+    seqs = np.indices((n,) * length).reshape(length, -1).T  # lexicographic
+    _, group = np.unique(_pack(np.sort(seqs, axis=1), n), return_inverse=True)
+    members = np.argsort(group, kind="stable")  # sequences grouped by multiset
+    sizes = np.bincount(group)
+    firsts = np.cumsum(sizes) - sizes
+    lefts = np.flatnonzero(seqs[:, 0] == seqs.min(axis=1))
+    pairs = sizes[group[lefts]]
+    ends = np.cumsum(pairs)
+    starts = ends - pairs
+    # pair p of left k is sequence members[shift[k] + p] of its group
+    shift = firsts[group[lefts]] - starts
+    kept = []
+    lo = 0
+    while lo < lefts.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _PAIR_BATCH, "right")))
+        owner = np.repeat(np.arange(lo, hi), pairs[lo:hi])
+        right = members[np.arange(starts[lo], ends[hi - 1]) + shift[owner]]
+        packed = _pack(seqs[lefts[owner]] * n + seqs[right], base)
+        kept.append(packed[packed == _least_rotation(packed, base, length)])
+        lo = hi
+    packed = np.sort(np.concatenate(kept))
+    out = np.empty((packed.size, length, 2), dtype)
+    for k in range(length - 1, -1, -1):  # unpack the last letter first
+        packed, code = np.divmod(packed, base)
+        out[:, k, 0], out[:, k, 1] = np.divmod(code, n)
     out.flags.writeable = False
     return out
 
@@ -208,8 +224,9 @@ def _right_to_left_index(n: int, length: int) -> np.ndarray:
     arr = _canonical_letter_arrays(n, length).astype(np.int64)
     i, j = arr[:, :, 0], arr[:, :, 1]
     base = n * n
-    rows = _min_rotation_codes(i * n + j, base)  # ascending: rows are canonical
-    index = np.searchsorted(rows, _min_rotation_codes(j * n + np.roll(i, -1, axis=1), base))
+    rows = _pack(i * n + j, base)  # ascending, and already canonical
+    moved = _least_rotation(_pack(j * n + np.roll(i, -1, axis=1), base), base, length)
+    index = np.searchsorted(rows, moved)
     index.flags.writeable = False
     return index
 
@@ -253,6 +270,11 @@ def _prefix_products(gens: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, n
     return prods, pid
 
 
+# rows per block of the word kernel: prefix products and traces are formed
+# one block at a time, so no temporary grows with the number of words
+_WORD_BLOCK = 4096
+
+
 def _batch_word_values(
     stack: np.ndarray, arr: np.ndarray, side: str
 ) -> np.ndarray:
@@ -261,8 +283,11 @@ def _batch_word_values(
     ``stack`` is the (n, N, N) array of coefficient matrices; ``arr`` holds
     0-based letters with shape (W, L, 2).  The n^2 letter factors are built
     once.  A word splits into a prefix of ceil(L/2) letters and a suffix of
-    floor(L/2); each distinct prefix and each distinct suffix is multiplied
-    out once (``_prefix_products``), and the word's value is Tr(P S).
+    floor(L/2).  Every possible suffix is multiplied out once per call, so
+    a row's packed suffix code indexes that table; there are n^(2 floor(L/2))
+    <= n^L <= L * W of them.  Each distinct prefix is multiplied out once
+    per block of ``_WORD_BLOCK`` rows (``_prefix_products``), and the word's
+    value is Tr(P S).
     """
     n, length = stack.shape[0], arr.shape[1]
     if arr.shape[0] == 0:
@@ -270,16 +295,19 @@ def _batch_word_values(
     dstack = stack.conj().transpose(0, 2, 1)
     first, second = (stack, dstack) if side == "L" else (dstack, stack)
     gens = (first[:, None] @ second[None, :]).reshape(n * n, *stack.shape[1:])
-    codes = arr[:, :, 0].astype(np.intp) * n + arr[:, :, 1]  # (W, L)
     if length == 1:
-        return np.einsum("cii->c", gens)[codes[:, 0]]
+        return np.einsum("cii->c", gens)[arr[:, 0, 0].astype(np.intp) * n + arr[:, 0, 1]]
     half = (length + 1) // 2
-    prefixes, pid = _prefix_products(gens, codes[:, :half])
-    base = n * n
-    powers = base ** np.arange(length - half - 1, -1, -1, dtype=np.int64)
-    packed, sid = np.unique(codes[:, half:] @ powers, return_inverse=True)
-    suffixes, spid = _prefix_products(gens, _unpack_codes(packed, base, length - half))
-    return np.einsum("wab,wba->w", prefixes[pid], suffixes[spid[sid]])
+    base, tail = n * n, length - half
+    suffixes, spid = _prefix_products(gens, np.indices((base,) * tail).reshape(tail, -1).T)
+    out = np.empty(arr.shape[0], dtype=complex)
+    for lo in range(0, arr.shape[0], _WORD_BLOCK):
+        block = arr[lo : lo + _WORD_BLOCK]
+        codes = block[:, :, 0].astype(np.intp) * n + block[:, :, 1]
+        prefixes, pid = _prefix_products(gens, codes[:, :half])
+        sid = spid[_pack(codes[:, half:], base)]
+        out[lo : lo + _WORD_BLOCK] = np.einsum("wab,wba->w", prefixes[pid], suffixes[sid])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +528,13 @@ def fingerprint_from_decomposition(
     if singles:
         tau_bal = _balanced_budget_length(len(singles), cap, tol.word_eval_limit)
         sub = np.stack([sd.coeff_matrices[p] for p in singles])
-        orig = np.array(singles, dtype=np.int64)
+        orig = np.array(singles, dtype=np.int64) + 1  # 1-based original indices
+        # contiguous singles (every nondegenerate state) map by a shift,
+        # which is several times faster than a gather
+        shift = orig[0] if orig[-1] - orig[0] == orig.size - 1 else None
         for length in range(1, tau_bal + 1):
             arr = _canonical_letter_arrays(len(singles), length)
-            mapped = orig[arr] + 1  # 1-based original indices
+            mapped = orig[arr] if shift is None else arr + shift
             vals = _batch_word_values(sub, arr, "L")
             right = vals[_right_to_left_index(len(singles), length)]
             groups.append(WordGroup("L", length, mapped, vals))

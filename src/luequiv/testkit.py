@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidProfile
@@ -129,7 +128,11 @@ def brute_force_oracle(
 ) -> OracleResult:
     """Minimize ||rho2 - (e^{iH1} (x) e^{iH2}) rho (.)^dag||_F^2 over
     Hermitian generators with random restarts; restart 0 starts at the
-    identity, and restarts stop early once the threshold is reached."""
+    identity, and restarts stop early once the threshold is reached.
+    scipy is imported here, not at module level: the oracle is its only
+    user, and importing it costs every process about 0.4 s and 45 MB."""
+    from scipy import optimize
+
     n = rho.dim_local
     nn = n * n
     m2 = rho2.matrix

@@ -1,6 +1,8 @@
 """End-to-end command line tests through subprocess."""
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import luequiv as lq
-from luequiv.cli import build_parser
+from luequiv.cli import build_parser, main
 from luequiv.io import save_state
 
 from conftest import bell_density
@@ -40,6 +42,17 @@ def write_states(directory):
         name: directory / f"{name}.json"
         for name in ("mixed", "bell", "flat_a", "flat_b", "trace2")
     }
+
+
+def main_in_process(*args):
+    """(exit code, stdout) of ``luequiv.cli.main``; usage errors end in SystemExit."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
 
 
 @pytest.fixture
@@ -254,3 +267,40 @@ class TestFlags:
         assert run_cli("certify", report, states["bell"], states["mixed"]).returncode == 1
         res = run_cli("certify", report, states["bell"], states["mixed"], "--eps-cert", 0.9)
         assert res.returncode == 0 and json.loads(res.stdout)["eps_cert"] == 0.9
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process; no call may change it."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_every_subcommand_twice_with_usage_errors_between(self, states, tmp_path):
+        moved, report = tmp_path / "moved.json", tmp_path / "report.json"
+        commands = [
+            ["--version"],
+            ["validate", states["bell"]],
+            ["fingerprint", states["flat_a"]],
+            ["orbit", states["bell"], "--seed", 11, "--out", moved],
+            ["compare", states["bell"], moved, "--json", "--report", report],
+            ["compare", states["flat_a"], states["flat_b"], "--json"],
+            ["certify", report, states["bell"], moved],
+            ["oracle", states["mixed"], states["mixed"], "--restarts", 1, "--iters", 50],
+        ]
+        usage_errors = [
+            ["compare", states["bell"], states["bell"], "--bogus"],
+            ["fingerprint", states["bell"], "--json"],
+            ["certify", report, states["bell"], moved, "--eps-cert"],
+            ["orbit", states["bell"]],
+            ["no-such-command"],
+        ]
+        first = [main_in_process(*argv) for argv in commands]
+        assert [code for code, _ in first] == [0, 0, 0, 0, 0, 1, 0, 0]
+        # the second pass runs backwards, each command after a usage error;
+        # the files the first pass wrote are rewritten with the same bytes
+        second = {}
+        for k in reversed(range(len(commands))):
+            code, out = main_in_process(*usage_errors[k % len(usage_errors)])
+            assert (code, out) == (3, "")
+            second[k] = main_in_process(*commands[k])
+        assert [second[k] for k in range(len(commands))] == first

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import luequiv as lq
 from luequiv.errors import BudgetExceeded, IndexOutOfRange, PatternMismatch
+from luequiv import invariants
 from luequiv.invariants import (
     Word,
     _batch_word_values,
@@ -216,6 +219,116 @@ class TestCanonicalWordCache:
             assert [w.letters for w in lq.enumerate_balanced_words(3, 3)] == want
 
 
+def all_pairs_letter_arrays(n, length):
+    """Reference enumeration: every balanced (left, right) pair of index
+    sequences, deduplicated by least cyclic rotation with np.unique."""
+    groups = {}
+    for seq in itertools.product(range(n), repeat=length):
+        groups.setdefault(tuple(sorted(seq)), []).append(seq)
+    lefts, rights = [], []
+    for key in sorted(groups):
+        perms = np.array(groups[key], dtype=np.int64)
+        lefts.append(np.repeat(perms, perms.shape[0], axis=0))
+        rights.append(np.tile(perms, (perms.shape[0], 1)))
+    base = n * n
+    canon = _unpack(
+        np.unique(_least_rotations(np.concatenate(lefts) * n + np.concatenate(rights), base)),
+        base,
+        length,
+    )
+    out = np.stack([canon // n, canon % n], axis=2).astype(np.min_scalar_type(n - 1))
+    out.flags.writeable = False
+    return out
+
+
+def all_pairs_right_to_left(n, length):
+    """Reference right-to-left index: re-canonicalise both sides, then search."""
+    arr = all_pairs_letter_arrays(n, length).astype(np.int64)
+    i, j = arr[:, :, 0], arr[:, :, 1]
+    base = n * n
+    rows = _least_rotations(i * n + j, base)
+    return np.searchsorted(rows, _least_rotations(j * n + np.roll(i, -1, axis=1), base))
+
+
+def _least_rotations(codes, base):
+    length = codes.shape[1]
+    powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    return np.min([np.roll(codes, -r, axis=1) @ powers for r in range(length)], axis=0)
+
+
+def _unpack(packed, base, length):
+    powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    return packed[:, None] // powers % base
+
+
+def traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestCanonicalEnumeration:
+    """The per-group enumeration against the all-pairs one it replaced.
+
+    (6, 6) is left out of the reference comparison: the all-pairs arrays
+    take about 2 GB there.  It is checked by counting instead.
+    """
+
+    @pytest.mark.parametrize(
+        "n,length",
+        [(n, length) for n in range(1, 7) for length in range(1, 7) if (n, length) != (6, 6)]
+        + [(36, 2), (36, 3), (64, 2)],
+    )
+    def test_matches_all_pairs(self, n, length):
+        got = _canonical_letter_arrays.__wrapped__(n, length)
+        want = all_pairs_letter_arrays(n, length)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
+        index = _right_to_left_index.__wrapped__(n, length)
+        assert index.dtype == np.intp
+        np.testing.assert_array_equal(index, all_pairs_right_to_left(n, length))
+
+    def test_largest_point_by_count(self):
+        # rows strictly ascending, each balanced and its own least rotation,
+        # and as many as there are rotation classes of balanced words
+        # (Burnside: a rotation by r fixes the words of period gcd(r, L))
+        n, length = 6, 6
+        arr = _canonical_letter_arrays.__wrapped__(n, length)
+        classes = sum(
+            count_balanced_words(n, math.gcd(r, length)) for r in range(length)
+        ) // length
+        assert arr.shape == (classes, length, 2)
+        np.testing.assert_array_equal(np.sort(arr[:, :, 0], 1), np.sort(arr[:, :, 1], 1))
+        codes = arr[:, :, 0] * n + arr[:, :, 1]  # uint8: the 1.5M rows stay small
+
+        def rotated(r):  # packed code of each row rotated left by r letters
+            out = np.zeros(codes.shape[0], np.int64)
+            for k in range(length):
+                out = out * (n * n) + codes[:, (k + r) % length]
+            return out
+
+        packed = rotated(0)
+        assert np.all(np.diff(packed) > 0)
+        for r in range(1, length):
+            assert np.all(packed <= rotated(r))
+
+    def test_enumeration_peak_is_bounded(self):
+        # traced peak on a 2-core x86-64 VM: 96.2 MB all-pairs, 4.6 MB per group
+        assert traced_peak_mb(_canonical_letter_arrays.__wrapped__, 4, 6) < 24
+
+    def test_warm_fingerprint_peak_is_bounded(self):
+        # N=3 rank 6 evaluates 76,836 words of length 5; traced peak of a
+        # warm call on a 2-core x86-64 VM: 35.7 MB with one W-row kernel
+        # pass, 9.6 MB with blocks of _WORD_BLOCK rows
+        rho = lq.random_density(3, 6, seed=7)
+        lq.fingerprint(rho)
+        assert traced_peak_mb(lq.fingerprint, rho) < 24
+
+
 # (rank, length) pairs of the kernel sweep: odd and even splits, suffixes of
 # length 1-3.  Left out for time: (5, 6) and (6, 6), with 373,645 and
 # 1,474,896 canonical words; every other pair has at most 76,836.
@@ -275,6 +388,17 @@ class TestWordKernel:
                 rtol=0,
                 atol=1e-14,
             )
+
+    @pytest.mark.parametrize("block", [1, 3, 100])
+    def test_block_size_changes_no_bit(self, monkeypatch, block):
+        sd = lq.spectral_decompose(lq.random_density(3, 4, seed=48))
+        stack = np.stack(sd.coeff_matrices)
+        arr = _canonical_letter_arrays(4, 5)
+        monkeypatch.setattr(invariants, "_WORD_BLOCK", arr.shape[0])
+        whole = {side: _batch_word_values(stack, arr, side) for side in ("L", "R")}
+        monkeypatch.setattr(invariants, "_WORD_BLOCK", block)
+        for side in ("L", "R"):
+            assert _batch_word_values(stack, arr, side).tobytes() == whole[side].tobytes()
 
     def test_empty(self):
         stack = np.stack(lq.spectral_decompose(lq.random_density(2, 2, seed=47)).coeff_matrices)
@@ -406,6 +530,18 @@ class TestFingerprint:
             for g in sig.balanced_groups
             for row, v in zip(g.letters, g.values.tolist())
         ]
+
+    @pytest.mark.parametrize("seed, singles", [(0, (0, 3)), (2, (0, 1)), (5, (0, 3))])
+    def test_letters_are_original_indices(self, seed, singles):
+        # singletons at (0, 3) map by a gather, at (0, 1) by a shift
+        sd = lq.spectral_decompose(lq.random_density(3, 4, [2, 1, 1], seed=seed))
+        assert tuple(b[0] for b in sd.blocks if len(b) == 1) == singles
+        sig = lq.fingerprint(lq.random_density(3, 4, [2, 1, 1], seed=seed))
+        for g in sig.balanced_groups:
+            arr = _canonical_letter_arrays(2, g.length)
+            want = np.array(singles, dtype=np.int64)[arr] + 1
+            assert g.letters.dtype == want.dtype
+            np.testing.assert_array_equal(g.letters, want)
 
     def test_deterministic(self):
         rho = lq.random_density(2, 3, seed=36)

@@ -1,4 +1,6 @@
 import hashlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -137,3 +139,29 @@ class TestOracle:
         b = lq.brute_force_oracle(rho, other, restarts=3, iters=200, seed=7)
         assert a.best_distance == b.best_distance
         np.testing.assert_array_equal(a.best_pair[0], b.best_pair[0])
+
+
+def run_python(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
+class TestLazyScipy:
+    """scipy serves the oracle alone, so importing luequiv must not load it."""
+
+    def test_import_loads_no_scipy(self):
+        res = run_python(
+            "import sys, luequiv, luequiv.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
+    def test_oracle_imports_scipy_when_called(self):
+        res = run_python(
+            "import sys, luequiv as lq\n"
+            "rho = lq.random_density(2, 3, seed=2)\n"
+            "r = lq.brute_force_oracle(rho, rho, restarts=1, iters=100)\n"
+            "print(r.converged, 'scipy.optimize' in sys.modules)"
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["True", "True"]
