@@ -15,10 +15,16 @@ Signatures assembled here therefore contain only quantities that are
 decomposition-independent: power traces of the density matrix, balanced
 words over singleton (nondegenerate) indices, and patterned block sums.
 
-Evaluation.  A word of length L splits into a prefix of ceil(L/2) letters
-and a suffix of floor(L/2); every suffix is multiplied out once per call,
-each distinct prefix once per block of rows, and the word's value is
-Tr(P S).  Right-side words
+Evaluation.  A word of length L splits into a prefix P of ceil(L/2)
+letters and a suffix S of floor(L/2), and its value is Tr(P S).  Letter
+(i, j) adds e_i - e_j to a word's imbalance, and a balanced word's prefix
+imbalance is minus its suffix's.  So the distinct prefixes and suffixes
+fall into classes by that exact vector, and each class gives one dense
+matrix product whose entries are Tr(P S) for all its prefix-suffix
+pairs; a word's value is one entry.  Classes of one shape share one
+batched product.  Every integer array this takes (rows, class shapes and
+each word's entry) depends only on the letters, so it forms a plan,
+cached per (rank, length) for the canonical arrays.  Right-side words
 are not evaluated at all: by trace cyclicity
 
     Tr(A_{i1}^dag A_{j1} ... A_{iL}^dag A_{jL})
@@ -27,8 +33,10 @@ are not evaluated at all: by trace cyclicity
 so the right word ((i1,j1), ..., (iL,jL)) equals the left word
 ((j1,i2), (j2,i3), ..., (jL,i1)), which is balanced; on the canonical
 words this is a permutation, and the right values are the left ones read
-in that order.  Block sums replay a contraction plan compiled once per
-pattern, side and N.
+in that order.  Block sums contract each pattern once, over the gram
+tensors of every block stacked, for both sides: the right-side network is
+the left one on the gram tensor with its four axes reversed.  The
+contraction plan is compiled once per pattern and N.
 """
 
 from __future__ import annotations
@@ -115,6 +123,7 @@ def _partitions(total: int, max_part: int | None = None):
             yield (first,) + rest
 
 
+@functools.lru_cache(maxsize=1024)
 def count_balanced_words(n: int, length: int) -> int:
     """Number of balanced words of exactly this length (before cyclic dedup)."""
     total = 0
@@ -140,6 +149,9 @@ def count_balanced_words(n: int, length: int) -> int:
 # (left, right) pairs per batch of the canonical-word search; bounds its
 # temporaries whatever the number of balanced words
 _PAIR_BATCH = 1 << 15
+
+# rows per batch of the per-row integer work on letter arrays (packing codes)
+_ROW_BATCH = 1 << 13
 
 
 def _pack(codes: np.ndarray, base: int) -> np.ndarray:
@@ -219,14 +231,20 @@ def _right_to_left_index(n: int, length: int) -> np.ndarray:
     Right word w = ((i1,j1), ..., (iL,jL)) of ``_canonical_letter_arrays``
     equals the left word ((j1,i2), (j2,i3), ..., (jL,i1)), which is balanced
     and canonicalises to row ``index[w]`` of the same array; the map is a
-    permutation of the rows.
+    permutation of the rows.  Rows are read in batches of ``_ROW_BATCH``,
+    so no temporary but the packed rows and the index grows with them.
     """
-    arr = _canonical_letter_arrays(n, length).astype(np.int64)
-    i, j = arr[:, :, 0], arr[:, :, 1]
+    arr = _canonical_letter_arrays(n, length)
     base = n * n
-    rows = _pack(i * n + j, base)  # ascending, and already canonical
-    moved = _least_rotation(_pack(j * n + np.roll(i, -1, axis=1), base), base, length)
-    index = np.searchsorted(rows, moved)
+    rows = np.empty(arr.shape[0], np.int64)  # ascending, and already canonical
+    for lo in range(0, arr.shape[0], _ROW_BATCH):
+        part = arr[lo : lo + _ROW_BATCH].astype(np.int64)
+        rows[lo : lo + _ROW_BATCH] = _pack(part[:, :, 0] * n + part[:, :, 1], base)
+    index = np.empty(arr.shape[0], np.intp)
+    for lo in range(0, arr.shape[0], _ROW_BATCH):
+        part = arr[lo : lo + _ROW_BATCH].astype(np.int64)
+        moved = _pack(part[:, :, 1] * n + np.roll(part[:, :, 0], -1, axis=1), base)
+        index[lo : lo + _ROW_BATCH] = np.searchsorted(rows, _least_rotation(moved, base, length))
     index.flags.writeable = False
     return index
 
@@ -252,27 +270,236 @@ def enumerate_balanced_words(
     return words
 
 
-def _prefix_products(gens: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Products of each row's factors, built over shared prefixes.
+def _unpack(packed: np.ndarray, base: int, length: int) -> np.ndarray:
+    """Inverse of ``_pack``: (K,) codes to (K, length) digits."""
+    out = np.empty((packed.size, length), np.int64)
+    for k in range(length - 1, -1, -1):
+        packed, out[:, k] = np.divmod(packed, base)
+    return out
 
-    Returns (prods, pid) with prods[pid[w]] the ordered product of the
-    factors ``gens[codes[w]]``.  Level k multiplies only rows whose first
-    k+1 letters differ from the row before, so rows sorted by packed code
-    share every common prefix; unsorted rows stay correct, with less sharing.
+
+def _imbalance_digits(codes: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Net-positive then net-negative indices of each row of letter codes.
+
+    Letter (i, j) adds e_i - e_j to a row's imbalance.  The multisets of
+    first and second indices are cancelled pairwise; what is left of each
+    is sorted and padded with ``n`` to ``width`` columns, so two rows have
+    equal imbalance exactly when their (K, 2 * width) digits agree.
     """
-    prods, pid = gens, codes[:, 0]
-    changed = codes[1:, 0] != codes[:-1, 0]
-    for k in range(1, codes.shape[1]):
-        changed |= codes[1:, k] != codes[:-1, k]
-        starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
-        prods = prods[pid[starts]] @ gens[codes[starts, k]]
-        pid = np.concatenate(([0], np.cumsum(changed)))
-    return prods, pid
+    first, second = np.divmod(codes, n)
+    for a in range(codes.shape[1]):
+        for b in range(codes.shape[1]):
+            hit = first[:, a] == second[:, b]
+            first[hit, a] = n  # cancelled entries never match again:
+            second[hit, b] = n + 1  # n and n + 1 differ from every index
+    second[second == n + 1] = n
+    pad = np.full((codes.shape[0], width - codes.shape[1]), n, np.int64)
+    return np.hstack([np.sort(np.hstack([first, pad]), 1), np.sort(np.hstack([second, pad]), 1)])
 
 
-# rows per block of the word kernel: prefix products and traces are formed
-# one block at a time, so no temporary grows with the number of words
-_WORD_BLOCK = 4096
+def _dense_ids(digits: np.ndarray, base: int) -> np.ndarray:
+    """Ids 0.. of the distinct rows of ``digits`` (entries below ``base``).
+
+    Rows are packed column by column; when the next column would overflow
+    int64 the partial codes are first replaced by their ranks.
+    """
+    ids, size = np.zeros(digits.shape[0], np.int64), 1
+    for col in digits.T:
+        if size * base >= 1 << 62:
+            ids = np.unique(ids, return_inverse=True)[1].reshape(-1)
+            size = int(ids.max()) + 1
+        ids, size = ids * base + col, size * base
+    return np.unique(ids, return_inverse=True)[1].reshape(-1)
+
+
+def _unique_codes(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for codes in [0, size), int32 inverse.
+
+    A table of ``size`` flags replaces the sort when it is not much larger
+    than ``codes``.
+    """
+    if size > 4 * codes.size:
+        values, inverse = np.unique(codes, return_inverse=True)
+        return values, inverse.reshape(-1).astype(np.int32)
+    seen = np.zeros(size, bool)
+    seen[codes] = True
+    return np.flatnonzero(seen), (np.cumsum(seen, dtype=np.int32) - 1)[codes]
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    return np.cumsum(counts) - counts
+
+
+def _ranks(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Members grouped by id (stable), each member's rank in its id, and counts."""
+    # the stable sort of a narrow integer type is a radix sort
+    order = np.argsort(ids.astype(np.min_scalar_type(size)), kind="stable")
+    counts = np.bincount(ids, minlength=size)
+    rank = np.empty(ids.size, np.int64)
+    rank[order] = np.arange(ids.size) - np.repeat(_starts(counts), counts)
+    return order, rank, counts
+
+
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + c) over the pairs."""
+    return np.repeat(starts - _starts(counts), counts) + np.arange(int(counts.sum()))
+
+
+# distinct prefixes per chunk of the word plan; a chunk's prefix products
+# are formed together, so no temporary grows with the number of words.  A
+# chunk holds whole imbalance classes, so it may pass this by less than one
+# class, and no value depends on the size
+_PREFIX_BATCH = 1 << 14
+
+
+def _word_plan(arr: np.ndarray, n: int) -> tuple:
+    """Integer plan of ``_batch_word_values`` for one (W, L, 2) array, L >= 2.
+
+    A word splits into a prefix P of ceil(L/2) letters and a suffix S of
+    floor(L/2); the table holds every floor(L/2)-letter product, row =
+    packed code.  Tr(P S) = sum conj(P'[a, b]) S[a, b], where P' = conj(P^T)
+    is the product of P's letters reversed, each (i, j) swapped to (j, i),
+    because every letter factor G satisfies G_(i,j)^T = conj(G_(j,i)); so
+    both sides read table rows as they are.  For even L, P' is a table
+    row; for odd L it is a table row times P's first letter swapped, and
+    the distinct prefixes are cut into chunks of whole classes (see
+    below), about ``_PREFIX_BATCH`` prefixes each; a chunk forms its
+    prefixes in (first letter, row) order.
+
+    A balanced word's prefix imbalance is minus its suffix's, so P' and S
+    have equal imbalance, and the rows P' and S fall into exact imbalance
+    classes.  Within a chunk each class gives one product whose entries
+    are Tr(P S) for every pair of its prefixes and all its suffixes; the
+    pairs are distinct balanced words, so the products hold at most
+    ``count_balanced_words`` entries in all.  Classes of one shape (k
+    classes of p prefixes by s suffixes) form a group, one batched product.
+
+    Returns chunks ``(rest, segments, pre, suf, groups)``.  The chunk's
+    prefix rows are laid out group after group.  For even L, ``segments``
+    is None and ``pre`` holds each row's table row.  For odd L, segments
+    are (letter, lo, hi) runs of the chunk's prefixes in (first letter,
+    row) order, ``rest`` holds their table rows and ``pre`` the row each
+    one goes to.  ``suf`` holds the table rows of S group after group.
+    A group is ``(k, p, s, p_rows, s_rows, words, flat)``: slices of
+    those prefix and suffix rows, and word ``words[x]`` is entry
+    ``flat[x]`` of the group's (k, p, s) product.  Index arrays are
+    int32, ``flat`` in the narrowest unsigned type that holds every group;
+    the groups' ``words`` and ``flat`` are views of one array each.
+    """
+    length = arr.shape[1]
+    half, tail, base = (length + 1) // 2, length // 2, n * n
+    # letters of P' (reversed, then swapped); for odd L the first leads
+    lead = [*range(half - 1, -1, -1)]
+    if length % 2:
+        lead = [0, *lead[:-1]]
+    pre = np.empty(arr.shape[0], np.int64)
+    suf = np.empty(arr.shape[0], np.int64)
+    for lo in range(0, arr.shape[0], _ROW_BATCH):
+        part = arr[lo : lo + _ROW_BATCH].astype(np.int64)
+        first, second = part[:, :, 0], part[:, :, 1]
+        pre[lo : lo + _ROW_BATCH] = _pack(second[:, lead] * n + first[:, lead], base)
+        suf[lo : lo + _ROW_BATCH] = _pack(first[:, half:] * n + second[:, half:], base)
+    prefixes, pid = _unique_codes(pre, base**half)
+    suffixes, sid = _unique_codes(suf, base**tail)
+    del pre, suf
+    cls = _dense_ids(
+        np.vstack([
+            _imbalance_digits(_unpack(prefixes, base, half), n, half),
+            _imbalance_digits(_unpack(suffixes, base, tail), n, half),
+        ]),
+        n + 1,
+    )
+    p_cls, s_cls = cls[: prefixes.size], cls[prefixes.size :]
+    n_cls = int(cls.max()) + 1
+    s_order, s_rank, s_count = _ranks(s_cls, n_cls)
+    # a cell is one class within one chunk, numbered in (chunk, class) order;
+    # a chunk holds whole classes, so a class product's shape, and its bits,
+    # do not depend on the chunk size
+    if length % 2:
+        p_start = _starts(np.bincount(p_cls, minlength=n_cls))
+        chunk = np.unique(p_start // _PREFIX_BATCH, return_inverse=True)[1].reshape(-1)[p_cls]
+    else:
+        chunk = np.zeros_like(p_cls)
+    cell_key, p_cell = np.unique(chunk * n_cls + p_cls, return_inverse=True)
+    p_cell = p_cell.reshape(-1)
+    cell_chunk, cell_cls = np.divmod(cell_key, n_cls)
+    p_order, p_rank, shape_p = _ranks(p_cell, cell_key.size)
+    shape_s = s_count[cell_cls]
+    # cells of one chunk and shape form a group; ``by`` lists cells in group order
+    by = np.lexsort((shape_s, shape_p, cell_chunk))
+    new = np.ones(by.size, bool)
+    new[1:] = (
+        (np.diff(cell_chunk[by]) != 0) | (np.diff(shape_p[by]) != 0) | (np.diff(shape_s[by]) != 0)
+    )
+    heads = np.flatnonzero(new)
+    cell_group, cell_k = np.empty(by.size, np.int64), np.empty(by.size, np.int64)
+    cell_group[by] = np.cumsum(new) - 1
+    cell_k[by] = np.arange(by.size) - heads[cell_group[by]]
+    pre_rows = p_order[_concat_ranges(_starts(shape_p)[by], shape_p[by])]
+    if length % 2:  # the row each chunk's prefix goes to, in (first letter, row) order
+        members, _, chunk_size = _ranks(chunk, int(chunk.max()) + 1)
+        dest = np.empty_like(pre_rows)
+        dest[pre_rows] = np.arange(pre_rows.size) - _starts(chunk_size)[chunk[pre_rows]]
+        pre_rows = dest[members]
+    else:
+        pre_rows = prefixes[pre_rows]
+    suf_rows = suffixes[s_order[_concat_ranges(_starts(s_count)[cell_cls[by]], shape_s[by])]]
+    # each word's group and entry; the W-row arrays are kept few and narrow
+    w_cell = p_cell.astype(np.int32)[pid]
+    flat = ((cell_k * shape_p)[w_cell] + p_rank[pid]) * shape_s[w_cell] + s_rank[sid]
+    del pid, sid
+    w_group = cell_group.astype(np.min_scalar_type(heads.size))[w_cell]
+    del w_cell
+    words = np.argsort(w_group, kind="stable")  # a radix sort on the narrow type
+    group_words = np.bincount(w_group, minlength=heads.size)
+    del w_group
+    flat = flat[words]
+    size = int(((cell_k + 1) * shape_p * shape_s).max())  # the largest group product
+    # the kept arrays are made last, after the temporaries are gone
+    words, flat = words.astype(np.int32), flat.astype(np.min_scalar_type(size - 1))
+    # per chunk: its groups, with slices into the chunk's prefix and suffix rows
+    groups: list[list] = [[] for _ in range(int(chunk.max()) + 1)]
+    ends = [[0, 0] for _ in groups]  # prefix and suffix rows taken so far
+    w_lo = 0
+    for g, c in enumerate(by[heads].tolist()):
+        k = int(heads[g + 1] if g + 1 < heads.size else by.size) - int(heads[g])
+        p, s, w_hi = int(shape_p[c]), int(shape_s[c]), w_lo + int(group_words[g])
+        end = ends[int(cell_chunk[c])]
+        groups[int(cell_chunk[c])].append((
+            k, p, s,
+            slice(end[0], end[0] + k * p),
+            slice(end[1], end[1] + k * s),
+            words[w_lo:w_hi],
+            flat[w_lo:w_hi],
+        ))
+        end[0], end[1], w_lo = end[0] + k * p, end[1] + k * s, w_hi
+    chunks = []
+    p_lo = s_lo = 0
+    for part, (p_n, s_n) in zip(groups, ends):
+        rows = (
+            pre_rows[p_lo : p_lo + p_n].astype(np.int32),
+            suf_rows[s_lo : s_lo + s_n].astype(np.int32),
+        )
+        p_lo, s_lo = p_lo + p_n, s_lo + s_n
+        if not length % 2:
+            chunks.append((None, None, *rows, tuple(part)))
+            continue
+        letter, rest = np.divmod(prefixes[members[p_lo - p_n : p_lo]], base**tail)
+        bounds = [0, *(np.flatnonzero(np.diff(letter)) + 1).tolist(), letter.size]
+        segments = tuple((int(letter[lo]), lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+        chunks.append((rest.astype(np.int32), segments, *rows, tuple(part)))
+    return tuple(chunks)
+
+
+@functools.lru_cache(maxsize=128)
+def _canonical_word_plan(n: int, length: int) -> tuple[np.ndarray, tuple]:
+    """``_word_plan`` of the canonical array of (n, length), with that array.
+
+    Built once per key, as the array itself is; ``_batch_word_values`` uses
+    it only when handed that very array.
+    """
+    arr = _canonical_letter_arrays(n, length)
+    return arr, _word_plan(arr, n)
 
 
 def _batch_word_values(
@@ -282,31 +509,47 @@ def _batch_word_values(
 
     ``stack`` is the (n, N, N) array of coefficient matrices; ``arr`` holds
     0-based letters with shape (W, L, 2).  The n^2 letter factors are built
-    once.  A word splits into a prefix of ceil(L/2) letters and a suffix of
-    floor(L/2).  Every possible suffix is multiplied out once per call, so
-    a row's packed suffix code indexes that table; there are n^(2 floor(L/2))
-    <= n^L <= L * W of them.  Each distinct prefix is multiplied out once
-    per block of ``_WORD_BLOCK`` rows (``_prefix_products``), and the word's
-    value is Tr(P S).
+    once, and the table of all floor(L/2)-letter products with one matrix
+    product per level.  The rest follows ``_word_plan``: per chunk, odd-L
+    prefix products with one matrix product per first letter, then per
+    group one batched product whose entries are Tr(P S).  The plan of a
+    canonical array is cached; any other array gets its own.
     """
     n, length = stack.shape[0], arr.shape[1]
     if arr.shape[0] == 0:
         return np.zeros(0, dtype=complex)
+    dim = stack.shape[1]
     dstack = stack.conj().transpose(0, 2, 1)
     first, second = (stack, dstack) if side == "L" else (dstack, stack)
-    gens = (first[:, None] @ second[None, :]).reshape(n * n, *stack.shape[1:])
+    gens = (first[:, None] @ second[None, :]).reshape(n * n, dim, dim)
     if length == 1:
         return np.einsum("cii->c", gens)[arr[:, 0, 0].astype(np.intp) * n + arr[:, 0, 1]]
-    half = (length + 1) // 2
-    base, tail = n * n, length - half
-    suffixes, spid = _prefix_products(gens, np.indices((base,) * tail).reshape(tail, -1).T)
+    canonical, plan = _canonical_word_plan(n, length)
+    if canonical is not arr:
+        plan = _word_plan(arr, n)
+    table = gens
+    if length > 3:  # [G_0 G_1 ...] side by side
+        factors = gens.transpose(1, 0, 2).reshape(dim, -1)
+    for _ in range(length // 2 - 1):  # row m * n^2 + c of the next level is X_m G_c
+        m = table.shape[0]
+        table = (table.reshape(m * dim, dim) @ factors).reshape(m, dim, n * n, dim)
+        table = table.transpose(0, 2, 1, 3).reshape(-1, dim, dim)
+    rows = table.reshape(-1, dim * dim)
     out = np.empty(arr.shape[0], dtype=complex)
-    for lo in range(0, arr.shape[0], _WORD_BLOCK):
-        block = arr[lo : lo + _WORD_BLOCK]
-        codes = block[:, :, 0].astype(np.intp) * n + block[:, :, 1]
-        prefixes, pid = _prefix_products(gens, codes[:, :half])
-        sid = spid[_pack(codes[:, half:], base)]
-        out[lo : lo + _WORD_BLOCK] = np.einsum("wab,wba->w", prefixes[pid], suffixes[sid])
+    for rest, segments, pre, suf, groups in plan:
+        if segments is None:
+            left = rows[pre]
+        else:  # P' = X G, one product per (swapped) first letter G
+            left = np.empty((pre.size, dim * dim), dtype=complex)
+            for letter, lo, hi in segments:
+                lead = table[rest[lo:hi]].reshape(-1, dim)
+                left[pre[lo:hi]] = (lead @ gens[letter]).reshape(-1, dim * dim)
+        np.conjugate(left, out=left)  # rows of P^T = conj(P')
+        right = rows[suf]
+        for k, p, s, p_rows, s_rows, words, flat in groups:
+            suffix_t = right[s_rows].reshape(k, s, -1).transpose(0, 2, 1)
+            prod = left[p_rows].reshape(k, p, -1) @ suffix_t
+            out[words] = prod.reshape(-1)[flat]
     return out
 
 
@@ -340,8 +583,8 @@ def _block_gram(stack: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _block_plan(pattern: tuple[int, ...], side: str, dim: int) -> tuple:
-    """Contraction plan of one patterned block sum, compiled once per key.
+def _block_plan(pattern: tuple[int, ...], dim: int) -> tuple:
+    """Contraction plan of one left-side patterned block sum, compiled once per key.
 
     The sum is a network of tau copies of the block's N^4 gram tensor.
     ``optimize=True`` caps intermediates at the largest input (N^4
@@ -350,9 +593,11 @@ def _block_plan(pattern: tuple[int, ...], side: str, dim: int) -> tuple:
     generous cap contracts pairwise; its largest intermediate is N^6
     entries.  The path depends only on the subscripts and N, so it is
     searched once and replayed here into steps ``(positions, equations,
-    shapes)``: a pairwise step reduces each operand with one einsum to
-    (contracted, kept) axes, multiplies the two as matrices and keeps the
-    result's axes in that order, so no step re-validates the path.
+    shapes)`` over a leading batch axis of gram tensors: a pairwise step
+    reduces each operand with one einsum to (batch, contracted, kept)
+    axes, multiplies the two as stacked matrices and keeps the result's
+    axes in that order, so no step re-validates the path.  The right-side
+    network is the left one read backwards (see ``_side_grams``).
     """
     tau = len(pattern)
     inv = [0] * tau
@@ -361,14 +606,7 @@ def _block_plan(pattern: tuple[int, ...], side: str, dim: int) -> tuple:
     syms = string.ascii_lowercase
     a = syms[:tau]
     b = syms[tau : 2 * tau]
-    subs = []
-    for u in range(tau):
-        s_star = inv[u]
-        prev = (s_star - 1) % tau
-        if side == "L":
-            subs.append(a[u] + b[u] + a[s_star] + b[prev])
-        else:
-            subs.append(b[prev] + a[s_star] + b[u] + a[u])
+    subs = [a[u] + b[u] + a[inv[u]] + b[(inv[u] - 1) % tau] for u in range(tau)]
     shape = np.empty((dim,) * 4)
     path, _ = np.einsum_path(
         ",".join(subs) + "->", *([shape] * tau), optimize=("greedy", 10**8)
@@ -380,7 +618,8 @@ def _block_plan(pattern: tuple[int, ...], side: str, dim: int) -> tuple:
         later = set("".join(subs))
         if len(taken) != 2:
             keep = "".join(sorted(set("".join(taken)) & later))
-            steps.append((positions, (",".join(taken) + "->" + keep,), None))
+            eq = ",".join("..." + t for t in taken) + "->..." + keep
+            steps.append((positions, (eq,), None))
             subs.append(keep)
             continue
         # every index occurs twice in the network, so one shared by x and y
@@ -391,7 +630,7 @@ def _block_plan(pattern: tuple[int, ...], side: str, dim: int) -> tuple:
         keep_y = "".join(sorted(set(y) & later))
         steps.append((
             positions,
-            (x + "->" + keep_x + summed, y + "->" + summed + keep_y),
+            ("..." + x + "->..." + keep_x + summed, "..." + y + "->..." + summed + keep_y),
             (
                 (dim ** len(keep_x), dim ** len(summed)),
                 (dim ** len(summed), dim ** len(keep_y)),
@@ -402,23 +641,34 @@ def _block_plan(pattern: tuple[int, ...], side: str, dim: int) -> tuple:
     return tuple(steps)
 
 
-def _block_network_value(gram: np.ndarray, pattern: tuple[int, ...], side: str) -> complex:
-    """Contract the patterned block sum as a tensor network.
+def _side_grams(grams: np.ndarray) -> np.ndarray:
+    """Left then right gram tensors of a (B, N, N, N, N) stack, as (2B, ...).
 
-    ``gram`` is the block's ``_block_gram`` tensor.  The value equals the
-    literal sum over all index assignments of the word whose dagger slot
-    after position s carries label pattern[(s+1) % tau].
+    The right-side subscripts of a pattern are the left ones reversed, so
+    the right sum is the left network on the gram tensor with its four
+    axes reversed.
     """
-    operands = [gram] * len(pattern)
-    for positions, equations, shapes in _block_plan(pattern, side, gram.shape[0]):
+    return np.concatenate([grams, grams.transpose(0, 4, 3, 2, 1)])
+
+
+def _block_network_value(grams: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
+    """Contract the left-side patterned block sum as a tensor network.
+
+    ``grams`` stacks (B, N, N, N, N) ``_block_gram`` tensors (right-side
+    sums pass them through ``_side_grams``); the result holds B values.
+    Each equals the literal sum over all index assignments of the word
+    whose dagger slot after position s carries label pattern[(s+1) % tau].
+    """
+    operands = [grams] * len(pattern)
+    for positions, equations, shapes in _block_plan(pattern, grams.shape[1]):
         taken = [operands.pop(p) for p in positions]
         if shapes is None:
             operands.append(np.einsum(equations[0], *taken))
         else:
-            x = np.einsum(equations[0], taken[0]).reshape(shapes[0])
-            y = np.einsum(equations[1], taken[1]).reshape(shapes[1])
-            operands.append((x @ y).reshape(shapes[2]))
-    return complex(operands[0])
+            x = np.einsum(equations[0], taken[0]).reshape(-1, *shapes[0])
+            y = np.einsum(equations[1], taken[1]).reshape(-1, *shapes[1])
+            operands.append((x @ y).reshape(-1, *shapes[2]))
+    return operands[0]
 
 
 def block_invariant(
@@ -442,8 +692,8 @@ def block_invariant(
     for p in block:
         if not (0 <= p < sd.rank):
             raise IndexOutOfRange(f"block position {p} exceeds rank {sd.rank}")
-    gram = _block_gram(np.stack([sd.coeff_matrices[p] for p in block]))
-    return _block_network_value(gram, tuple(pattern), side)
+    grams = _side_grams(_block_gram(np.stack([sd.coeff_matrices[p] for p in block]))[None])
+    return complex(_block_network_value(grams[SIDES.index(side)][None], tuple(pattern))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +755,7 @@ def _balanced_budget_length(n_letters: int, cap: int, limit: int) -> int:
     return best
 
 
+@functools.lru_cache(maxsize=4096)
 def _block_key(side: str, block: tuple[int, ...], tau: int, ctype: tuple[int, ...]) -> str:
     ids = ",".join(str(p + 1) for p in block)
     cts = ",".join(str(c) for c in ctype)
@@ -534,22 +785,27 @@ def fingerprint_from_decomposition(
         shift = orig[0] if orig[-1] - orig[0] == orig.size - 1 else None
         for length in range(1, tau_bal + 1):
             arr = _canonical_letter_arrays(len(singles), length)
-            mapped = orig[arr] if shift is None else arr + shift
             vals = _batch_word_values(sub, arr, "L")
             right = vals[_right_to_left_index(len(singles), length)]
+            # mapped last: the cached plan and index of a first call are then
+            # not allocated above this large array, which would pin the heap
+            mapped = orig[arr] if shift is None else arr + shift
             groups.append(WordGroup("L", length, mapped, vals))
             groups.append(WordGroup("R", length, mapped, right))
     block_vals: dict[str, complex] = {}
-    for block in blocks:
-        if len(block) == 1:
-            continue
-        gram = _block_gram(np.stack([sd.coeff_matrices[p] for p in block]))
-        for side in SIDES:
-            for tau in range(1, cap + 1):
-                for ctype, perm in cycle_type_representatives(tau):
-                    block_vals[_block_key(side, block, tau, ctype)] = _block_network_value(
-                        gram, perm, side
-                    )
+    multi = [block for block in blocks if len(block) > 1]
+    if multi:
+        # every pattern is contracted once, over all blocks and both sides
+        grams = _side_grams(np.stack([
+            _block_gram(np.stack([sd.coeff_matrices[p] for p in block])) for block in multi
+        ]))
+        patterns = [ct for tau in range(1, cap + 1) for ct in cycle_type_representatives(tau)]
+        values = [_block_network_value(grams, perm).tolist() for _, perm in patterns]
+        for b, block in enumerate(multi):
+            for s, side in enumerate(SIDES):
+                for (ctype, perm), per_gram in zip(patterns, values):
+                    key = _block_key(side, block, len(perm), ctype)
+                    block_vals[key] = per_gram[s * len(multi) + b]
     return InvariantSignature(
         dim_local=sd.dim_local,
         rank=sd.rank,

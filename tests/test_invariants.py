@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from luequiv import invariants
 from luequiv.invariants import (
     Word,
     _batch_word_values,
+    _block_key,
     _block_plan,
     _canonical_letter_arrays,
     _right_to_left_index,
@@ -320,6 +322,12 @@ class TestCanonicalEnumeration:
         # traced peak on a 2-core x86-64 VM: 96.2 MB all-pairs, 4.6 MB per group
         assert traced_peak_mb(_canonical_letter_arrays.__wrapped__, 4, 6) < 24
 
+    def test_right_to_left_peak_is_bounded(self):
+        # with the enumeration cached, traced peak on a 2-core x86-64 VM:
+        # 12.9 MB over all 64,576 rows at once, 2.7 MB in batches of rows
+        _canonical_letter_arrays(4, 6)
+        assert traced_peak_mb(_right_to_left_index.__wrapped__, 4, 6) < 6
+
     def test_warm_fingerprint_peak_is_bounded(self):
         # N=3 rank 6 evaluates 76,836 words of length 5; traced peak of a
         # warm call on a 2-core x86-64 VM: 35.7 MB with one W-row kernel
@@ -391,14 +399,84 @@ class TestWordKernel:
 
     @pytest.mark.parametrize("block", [1, 3, 100])
     def test_block_size_changes_no_bit(self, monkeypatch, block):
+        # odd lengths cut the prefixes into chunks of whole imbalance classes;
+        # a copy of the canonical array gets a plan built at the patched size
+        for rank, length in ((4, 5), (4, 3), (6, 3)):
+            sd = lq.spectral_decompose(lq.random_density(3, rank, seed=48))
+            stack = np.stack(sd.coeff_matrices)
+            arr = _canonical_letter_arrays(rank, length)
+            whole = {side: _batch_word_values(stack, arr, side) for side in ("L", "R")}
+            monkeypatch.setattr(invariants, "_PREFIX_BATCH", block)
+            for side in ("L", "R"):
+                got = _batch_word_values(stack, arr.copy(), side)
+                assert got.tobytes() == whole[side].tobytes()
+            monkeypatch.undo()
+
+    def test_cached_plan_changes_no_bit(self, monkeypatch):
+        # the canonical array's plan is cached; a copy of the array gets a
+        # plan of its own, built by the same code, and the same bytes
         sd = lq.spectral_decompose(lq.random_density(3, 4, seed=48))
         stack = np.stack(sd.coeff_matrices)
-        arr = _canonical_letter_arrays(4, 5)
-        monkeypatch.setattr(invariants, "_WORD_BLOCK", arr.shape[0])
-        whole = {side: _batch_word_values(stack, arr, side) for side in ("L", "R")}
-        monkeypatch.setattr(invariants, "_WORD_BLOCK", block)
+        for length in (4, 5):
+            arr = _canonical_letter_arrays(4, length)
+            cached = {side: _batch_word_values(stack, arr, side) for side in ("L", "R")}
+            inner = invariants._word_plan
+            plan = pickle.dumps(invariants._canonical_word_plan(4, length)[1])
+            assert pickle.dumps(inner(arr.copy(), 4)) == plan
+            built = []
+            monkeypatch.setattr(
+                invariants, "_word_plan", lambda a, n: built.append(a) or inner(a, n)
+            )
+            for side in ("L", "R"):
+                assert _batch_word_values(stack, arr, side).tobytes() == cached[side].tobytes()
+            assert not built
+            for side in ("L", "R"):
+                got = _batch_word_values(stack, arr.copy(), side)
+                assert got.tobytes() == cached[side].tobytes()
+            assert len(built) == 2
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("n, rank, length", [
+        (6, 36, 2), (6, 36, 3), (8, 64, 2), (4, 16, 3), (3, 9, 4),
+    ])
+    def test_wide_ranks_match_word_trace(self, n, rank, length):
+        # at high rank most imbalance classes hold one prefix or one suffix
+        sd = lq.spectral_decompose(lq.random_density(n, rank, seed=60 + rank + length))
+        stack = np.stack(sd.coeff_matrices)
+        arr = _canonical_letter_arrays(rank, length)
+        rows = np.unique(np.linspace(0, arr.shape[0] - 1, 1500).astype(int))
         for side in ("L", "R"):
-            assert _batch_word_values(stack, arr, side).tobytes() == whole[side].tobytes()
+            got = _batch_word_values(stack, arr, side)[rows]
+            want = np.array([
+                lq.word_trace(sd, Word(side, tuple((i + 1, j + 1) for i, j in row)))
+                for row in arr[rows].tolist()
+            ])
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 5])
+    def test_duplicated_rows_and_single_words(self, length):
+        sd = lq.spectral_decompose(lq.random_density(3, 4, seed=49))
+        stack = np.stack(sd.coeff_matrices)
+        arr = _canonical_letter_arrays(4, length)
+        picks = np.random.default_rng(50 + length).integers(0, arr.shape[0], 3 * arr.shape[0])
+        for side in ("L", "R"):
+            whole = _batch_word_values(stack, arr, side)
+            np.testing.assert_allclose(
+                _batch_word_values(stack, arr[picks], side), whole[picks], rtol=0, atol=1e-14
+            )
+            for row in (0, arr.shape[0] // 2, arr.shape[0] - 1):
+                single = _batch_word_values(stack, arr[row : row + 1].copy(), side)
+                assert single.shape == (1,)
+                assert abs(single[0] - whole[row]) <= 1e-14
+
+    def test_class_ids_past_int64(self):
+        # 20 digits in base 65 overflow int64 when packed; partial codes are
+        # re-ranked first, so equal rows still get equal ids
+        rng = np.random.default_rng(51)
+        digits = rng.integers(0, 65, (300, 20))
+        digits[150:] = digits[rng.integers(0, 150, 150)]
+        want = np.unique(digits, axis=0, return_inverse=True)[1].reshape(-1)
+        np.testing.assert_array_equal(invariants._dense_ids(digits, 65), want)
 
     def test_empty(self):
         stack = np.stack(lq.spectral_decompose(lq.random_density(2, 2, seed=47)).coeff_matrices)
@@ -451,6 +529,24 @@ class TestBlockInvariant:
                 got = lq.block_invariant(sd, block, perm, side)
                 want = brute_block_sum(sd, block, perm, side)
                 assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+
+    def test_fingerprint_stacks_blocks_and_sides(self):
+        # fingerprint contracts each pattern once over every block and both
+        # sides; each value must be its own block's literal sum
+        sd = lq.spectral_decompose(lq.random_density(3, 7, [3, 2, 2], seed=29))
+        sig = fingerprint_from_decomposition(sd, np.ones(9), tau_cap=3)
+        multi = [b for b in sd.blocks if len(b) > 1]
+        assert len(multi) == 3
+        keys = []
+        for block in multi:
+            for side in ("L", "R"):
+                for tau in (1, 2, 3):
+                    for ctype, perm in cycle_type_representatives(tau):
+                        keys.append(_block_key(side, block, tau, ctype))
+                        got = sig.block_invariants[keys[-1]]
+                        want = brute_block_sum(sd, block, perm, side)
+                        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+        assert list(sig.block_invariants) == keys
 
     def test_remix_invariance(self):
         sd = lq.spectral_decompose(
@@ -551,8 +647,9 @@ class TestFingerprint:
         np.testing.assert_array_equal(a.power_traces, b.power_traces)
 
     def test_block_paths_searched_once(self, monkeypatch):
-        # one greedy path search per (pattern, side, N), replayed afterwards;
-        # the 3-fold and 4-fold blocks share every plan
+        # one greedy path search per (pattern, N), replayed afterwards; the
+        # right side runs the left plan, and the 3-fold and 4-fold blocks
+        # share every plan
         searches = []
         search = np.einsum_path
 
@@ -567,7 +664,7 @@ class TestFingerprint:
         for _ in range(2):
             assert lq.fingerprint(rho).block_invariants == first.block_invariants
         patterns = sum(len(cycle_type_representatives(tau)) for tau in range(1, 7))
-        assert len(searches) == len(set(searches)) == 2 * patterns
+        assert len(searches) == len(set(searches)) == patterns
 
     def test_bell_word_value(self):
         sig = lq.fingerprint(bell_density())
