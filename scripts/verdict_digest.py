@@ -6,8 +6,10 @@ outcome, the reason, the witness key ("-" without a witness), the
 certificate attempts as mode/null_dim, and the SHA-256 of the
 certificate's u and w bytes ("-" without a certificate).  For a CLI
 report it holds the subcommand, the input's name, the exit code and the
-SHA-256 of the bytes written to stdout.  Run it from the root of each
-checkout and diff:
+SHA-256 of the bytes written to stdout.  For an algebra basis it holds
+the state's name, the side, the dimension and the SHA-256 of the
+admitted word keys; values stay out, as they move at rounding level.
+Run it from the root of each checkout and diff:
 
     PYTHONPATH=src python scripts/verdict_digest.py > before.txt
     PYTHONPATH=src python scripts/verdict_digest.py > after.txt
@@ -25,6 +27,9 @@ Corpora (all by default, or name them with --corpus):
     cli-reports    luequiv.cli.main, in process, on the lubench cli
                    inputs of seeds 1-2 and on the states of
                    tests/test_cli.py (each subcommand but validate)
+    algebra        build_algebra, both sides, on the 200 states of
+                   acceptance criterion 5 and both states of the 50
+                   orbit pairs of criterion 6
 """
 
 from __future__ import annotations
@@ -131,6 +136,28 @@ def cli_reports():
             yield "\t".join([argv[0], name, str(code), sha])
 
 
+def algebra():
+    from conftest import orbit_pair
+    from luequiv.states import transform_decomposition
+
+    # the loops of tests/test_acceptance.py::test_criterion_5_... and _6_...
+    states = []
+    for n in (2, 3):
+        for k in range(100):
+            rho = lq.random_density(n, 1 + k % (n * n), seed=11_000 + 100 * n + k)
+            states.append((f"criterion-5:n{n}-k{k}", lq.spectral_decompose(rho)))
+    for k in range(50):
+        rho, _, u1, u2 = orbit_pair(2, 1 + k % 4, seed=13_000 + k)
+        sd = lq.spectral_decompose(rho)
+        states.append((f"criterion-6:k{k}", sd))
+        states.append((f"criterion-6:k{k} moved", transform_decomposition(sd, u1, u2)))
+    for name, sd in states:
+        for side in ("L", "R"):
+            basis = lq.build_algebra(sd, side)
+            keys = "\n".join(w.key() for w in basis.words)
+            yield "\t".join([name, side, str(basis.dim), hashlib.sha256(keys.encode()).hexdigest()])
+
+
 def _verdicts(pairs):
     """A corpus of decided pairs, as digest lines."""
     return lambda: (digest_line(name, lq.decide(a, b)) for name, a, b in pairs())
@@ -143,6 +170,7 @@ CORPORA = {
     "agreement": _verdicts(agreement),
     "decide-orbit": _verdicts(decide_orbit),
     "cli-reports": cli_reports,
+    "algebra": algebra,
 }
 
 

@@ -2,9 +2,12 @@
 
 The library computes trace-polynomial invariants of a bipartite density
 matrix (power traces, word traces over eigenvector coefficient matrices,
-and degeneracy-block sums), builds the matrix algebras those words span,
-and reconstructs explicit local-unitary certificates from one coupled
-linear system and polar decompositions.  A command line front end handles
+and degeneracy-block sums).  ``decide`` compares power traces, then the
+words, and reconstructs an explicit local-unitary certificate from the
+product system of local intertwiners, with the coupled singleton system
+as fallback, and polar decompositions.  ``build_algebra`` (the matrix
+algebras the words span) is library API checked by acceptance criteria 5
+and 6; ``decide`` does not call it.  A command line front end handles
 JSON state files; see :mod:`luequiv.cli`.
 """
 
@@ -28,7 +31,7 @@ from .invariants import (
     power_traces,
     word_trace,
 )
-from .algebra import AlgebraBasis, algebra_from_words, build_algebra, express_in_basis, gram_det
+from .algebra import AlgebraBasis, build_algebra, express_in_basis, gram_det
 from .decider import (
     Certificate,
     EquivalenceVerdict,
@@ -56,7 +59,6 @@ __all__ = [
     "compare_signatures",
     "AlgebraBasis",
     "build_algebra",
-    "algebra_from_words",
     "gram_det",
     "express_in_basis",
     "EquivalenceVerdict",

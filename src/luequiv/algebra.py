@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import BudgetExceeded, GramSingular, NotInSpan
+from .errors import GramSingular, NotInSpan
 from .invariants import Word
 from .linalg import frob
 from .states import SpectralDecomposition
@@ -52,106 +52,95 @@ class AlgebraBasis:
         return len(self.elements)
 
 
-def generator_matrices(sd: SpectralDecomposition, side: str) -> list[tuple[Word, np.ndarray]]:
-    """Length-one word generators in lexicographic (i, j) order."""
-    out = []
-    for i in range(sd.rank):
-        for j in range(sd.rank):
-            a, b = sd.coeff_matrices[i], sd.coeff_matrices[j]
-            m = a @ b.conj().T if side == "L" else a.conj().T @ b
-            out.append((Word(side, ((i + 1, j + 1),)), m))
-    return out
+def generator_matrices(sd: SpectralDecomposition, side: str) -> tuple[list[Word], np.ndarray]:
+    """Length-one word generators in lexicographic (i, j) order, as an (r^2, N, N) stack."""
+    a = np.asarray(sd.coeff_matrices)
+    ah = a.conj().transpose(0, 2, 1)
+    mats = a[:, None] @ ah[None] if side == "L" else ah[:, None] @ a[None]
+    r, n = sd.rank, sd.dim_local
+    words = [Word(side, ((i + 1, j + 1),)) for i in range(r) for j in range(r)]
+    return words, mats.reshape(r * r, n, n)
 
 
 class _Screen:
-    """Incremental orthonormal frame for linear-independence tests."""
+    """Incremental orthonormal frame, one row per admitted element."""
 
-    def __init__(self, eps_indep: float):
+    def __init__(self, size: int, eps_indep: float):
         self.eps = eps_indep
-        self.frame: list[np.ndarray] = []
+        self.frame = np.empty((size, size), dtype=complex)
+        self.count = 0
 
-    def admit(self, mat: np.ndarray) -> np.ndarray | None:
-        """Orthonormalized component of ``mat`` outside the span, if any."""
-        v = mat.reshape(-1)
+    @property
+    def full(self) -> bool:
+        return self.count == len(self.frame)
+
+    def admit(self, v: np.ndarray) -> bool:
+        """Append the orthonormalized component of ``v`` outside the span, if any."""
         norm = float(np.linalg.norm(v))
         if norm <= _ZERO_FLOOR:
-            return None
-        r = v.copy()
+            return False
+        q = self.frame[: self.count]
+        r = v
         for _ in range(2):  # re-orthogonalize for stability
-            for q in self.frame:
-                r = r - np.vdot(q, r) * q
+            r = r - (q.conj() @ r) @ q
         res = float(np.linalg.norm(r))
         if res <= self.eps * norm:
-            return None
-        r = r / res
-        self.frame.append(r)
-        return r.reshape(mat.shape)
+            return False
+        self.frame[self.count] = r / res
+        self.count += 1
+        return True
 
 
 def _closure(
-    generators: list[tuple[Word, np.ndarray]],
-    dim_local: int,
-    eps_indep: float,
-) -> tuple[list[Word], list[np.ndarray]]:
-    screen = _Screen(eps_indep)
-    words: list[Word] = []
-    elements: list[np.ndarray] = []
-    gens = []
-    for w, m in generators:
-        norm = frob(m)
-        if norm > _ZERO_FLOOR:
-            gens.append((w, m / norm))
-        admitted = screen.admit(m)
-        if admitted is not None:
-            words.append(w)
-            elements.append(admitted)
-    cap = dim_local * dim_local
+    words: list[Word], gens: np.ndarray, eps_indep: float
+) -> tuple[list[Word], np.ndarray]:
+    """Breadth-first closure; stops once the frame spans all N x N matrices."""
+    n = gens.shape[-1]
+    screen = _Screen(n * n, eps_indep)
+    admitted: list[Word] = []
+    for w, m in zip(words, gens):
+        if screen.full:
+            break
+        if screen.admit(m.reshape(-1)):
+            admitted.append(w)
+    norms = np.linalg.norm(gens.reshape(len(gens), -1), axis=1)
+    live = norms > _ZERO_FLOOR
+    units = gens[live] / norms[live, None, None]
+    unit_letters = [w.letters for w, keep in zip(words, live) if keep]
     i = 0
-    while i < len(elements):
-        for gw, gm in gens:
-            admitted = screen.admit(elements[i] @ gm)
-            if admitted is not None:
-                words.append(Word(words[i].side, words[i].letters + gw.letters))
-                elements.append(admitted)
-                if len(elements) > cap:
-                    raise BudgetExceeded("algebra closure exceeded the dimension bound")
+    while i < screen.count and not screen.full:
+        for letters, prod in zip(unit_letters, screen.frame[i].reshape(n, n) @ units):
+            if screen.admit(prod.reshape(-1)):
+                admitted.append(Word(admitted[i].side, admitted[i].letters + letters))
+                if screen.full:
+                    break
         i += 1
-    return words, elements
+    return admitted, screen.frame[: screen.count].reshape(-1, n, n)
 
 
 def _finish_basis(
     side: str,
     dim_local: int,
     words: list[Word],
-    elements: list[np.ndarray],
+    elements: np.ndarray | list[np.ndarray],
     eps_det: float,
 ) -> AlgebraBasis:
-    m = len(elements)
-    gram = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            gram[i, j] = gram[j, i] = np.trace(elements[i] @ elements[j])
+    e = np.asarray(elements, dtype=complex)
+    gram = np.tensordot(e, e, axes=([1, 2], [2, 1]))  # Tr(e_i e_j)
     det = complex(np.linalg.det(gram))
     if abs(det) <= eps_det:
         raise GramSingular(f"|det Gram| = {abs(det):.3e} is below the floor")
     gram_inv = np.linalg.inv(gram)
-    duals = tuple(
-        sum(gram_inv[k, j] * elements[j] for j in range(m)) for k in range(m)
-    )
-    structure = np.empty((m, m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            prod = elements[i] @ elements[j]
-            for k in range(m):
-                structure[i, j, k] = np.trace(prod @ duals[k])
+    duals = np.tensordot(gram_inv, e, axes=1)
+    structure = np.tensordot(e[:, None] @ e[None], duals, axes=([2, 3], [2, 1]))
     return AlgebraBasis(
         side=side,
         dim_local=dim_local,
         words=tuple(words),
-        elements=tuple(elements),
+        elements=tuple(e),
         gram=gram,
         gram_inverse=gram_inv,
-        duals=duals,
+        duals=tuple(duals),
         structure=structure,
     )
 
@@ -162,33 +151,8 @@ def build_algebra(
     """Breadth-first closure of the word algebra with a canonical basis."""
     if side not in ("L", "R"):
         raise ValueError("side must be 'L' or 'R'")
-    words, elements = _closure(generator_matrices(sd, side), sd.dim_local, tol.eps_indep)
+    words, elements = _closure(*generator_matrices(sd, side), tol.eps_indep)
     return _finish_basis(side, sd.dim_local, words, elements, tol.eps_det)
-
-
-def algebra_from_words(
-    sd: SpectralDecomposition,
-    words: tuple[Word, ...],
-    tol: Tolerances = DEFAULT_TOL,
-) -> AlgebraBasis:
-    """Evaluate a given word list on another state's decomposition.
-
-    Used for the word-for-word basis correspondence between two states;
-    raises GramSingular when the words fail to form a basis there.
-    """
-    from .invariants import word_matrix
-
-    if not words:
-        raise ValueError("empty word list")
-    side = words[0].side
-    screen = _Screen(tol.eps_indep)
-    elements = []
-    for w in words:
-        admitted = screen.admit(word_matrix(sd, w))
-        if admitted is None:
-            raise GramSingular(f"word {w.key()} is dependent on this state")
-        elements.append(admitted)
-    return _finish_basis(side, sd.dim_local, list(words), elements, tol.eps_det)
 
 
 def gram_det(basis: AlgebraBasis) -> float:
@@ -200,8 +164,8 @@ def express_in_basis(
     basis: AlgebraBasis, x: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
     """Coefficients of x in the basis via the dual elements."""
-    coeffs = np.array([complex(np.trace(x @ d)) for d in basis.duals])
-    recon = sum(c * e for c, e in zip(coeffs, basis.elements))
+    coeffs = np.tensordot(np.asarray(basis.duals), x, axes=([1, 2], [1, 0]))  # Tr(x d_k)
+    recon = np.tensordot(coeffs, np.asarray(basis.elements), axes=1)
     if frob(x - recon) > tol.eps_span * max(1.0, frob(x)):
         raise NotInSpan(f"residual {frob(x - recon):.3e} exceeds the span tolerance")
     return coeffs

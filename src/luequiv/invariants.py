@@ -410,62 +410,57 @@ def _word_plan(arr: np.ndarray, n: int) -> tuple:
         n + 1,
     )
     p_cls, s_cls = cls[: prefixes.size], cls[prefixes.size :]
-    n_cls = int(cls.max()) + 1
-    s_order, s_rank, s_count = _ranks(s_cls, n_cls)
-    # a cell is one class within one chunk, numbered in (chunk, class) order;
-    # a chunk holds whole classes, so a class product's shape, and its bits,
-    # do not depend on the chunk size
+    n_cls = int(cls.max()) + 1  # every class holds prefixes and suffixes of its words
+    p_order, p_rank, shape_p = _ranks(p_cls, n_cls)
+    s_order, s_rank, shape_s = _ranks(s_cls, n_cls)
+    # a chunk holds whole classes in class order, so a class product's
+    # shape, and its bits, do not depend on the chunk size
     if length % 2:
-        p_start = _starts(np.bincount(p_cls, minlength=n_cls))
-        chunk = np.unique(p_start // _PREFIX_BATCH, return_inverse=True)[1].reshape(-1)[p_cls]
+        cls_chunk = np.unique(_starts(shape_p) // _PREFIX_BATCH, return_inverse=True)[1].reshape(-1)
     else:
-        chunk = np.zeros_like(p_cls)
-    cell_key, p_cell = np.unique(chunk * n_cls + p_cls, return_inverse=True)
-    p_cell = p_cell.reshape(-1)
-    cell_chunk, cell_cls = np.divmod(cell_key, n_cls)
-    p_order, p_rank, shape_p = _ranks(p_cell, cell_key.size)
-    shape_s = s_count[cell_cls]
-    # cells of one chunk and shape form a group; ``by`` lists cells in group order
-    by = np.lexsort((shape_s, shape_p, cell_chunk))
+        cls_chunk = np.zeros(n_cls, np.int64)
+    # classes of one chunk and shape form a group; ``by`` lists classes in group order
+    by = np.lexsort((shape_s, shape_p, cls_chunk))
     new = np.ones(by.size, bool)
     new[1:] = (
-        (np.diff(cell_chunk[by]) != 0) | (np.diff(shape_p[by]) != 0) | (np.diff(shape_s[by]) != 0)
+        (np.diff(cls_chunk[by]) != 0) | (np.diff(shape_p[by]) != 0) | (np.diff(shape_s[by]) != 0)
     )
     heads = np.flatnonzero(new)
-    cell_group, cell_k = np.empty(by.size, np.int64), np.empty(by.size, np.int64)
-    cell_group[by] = np.cumsum(new) - 1
-    cell_k[by] = np.arange(by.size) - heads[cell_group[by]]
+    cls_group, cls_k = np.empty(by.size, np.int64), np.empty(by.size, np.int64)
+    cls_group[by] = np.cumsum(new) - 1
+    cls_k[by] = np.arange(by.size) - heads[cls_group[by]]
     pre_rows = p_order[_concat_ranges(_starts(shape_p)[by], shape_p[by])]
     if length % 2:  # the row each chunk's prefix goes to, in (first letter, row) order
-        members, _, chunk_size = _ranks(chunk, int(chunk.max()) + 1)
+        chunk = cls_chunk[p_cls]
+        members, _, chunk_size = _ranks(chunk, int(cls_chunk.max()) + 1)
         dest = np.empty_like(pre_rows)
         dest[pre_rows] = np.arange(pre_rows.size) - _starts(chunk_size)[chunk[pre_rows]]
         pre_rows = dest[members]
     else:
         pre_rows = prefixes[pre_rows]
-    suf_rows = suffixes[s_order[_concat_ranges(_starts(s_count)[cell_cls[by]], shape_s[by])]]
+    suf_rows = suffixes[s_order[_concat_ranges(_starts(shape_s)[by], shape_s[by])]]
     # each word's group and entry; the W-row arrays are kept few and narrow
-    w_cell = p_cell.astype(np.int32)[pid]
-    flat = ((cell_k * shape_p)[w_cell] + p_rank[pid]) * shape_s[w_cell] + s_rank[sid]
+    w_cls = p_cls.astype(np.int32)[pid]
+    flat = ((cls_k * shape_p)[w_cls] + p_rank[pid]) * shape_s[w_cls] + s_rank[sid]
     del pid, sid
-    w_group = cell_group.astype(np.min_scalar_type(heads.size))[w_cell]
-    del w_cell
+    w_group = cls_group.astype(np.min_scalar_type(heads.size))[w_cls]
+    del w_cls
     words = np.argsort(w_group, kind="stable")  # a radix sort on the narrow type
     group_words = np.bincount(w_group, minlength=heads.size)
     del w_group
     flat = flat[words]
-    size = int(((cell_k + 1) * shape_p * shape_s).max())  # the largest group product
+    size = int(((cls_k + 1) * shape_p * shape_s).max())  # the largest group product
     # the kept arrays are made last, after the temporaries are gone
     words, flat = words.astype(np.int32), flat.astype(np.min_scalar_type(size - 1))
     # per chunk: its groups, with slices into the chunk's prefix and suffix rows
-    groups: list[list] = [[] for _ in range(int(chunk.max()) + 1)]
+    groups: list[list] = [[] for _ in range(int(cls_chunk.max()) + 1)]
     ends = [[0, 0] for _ in groups]  # prefix and suffix rows taken so far
     w_lo = 0
     for g, c in enumerate(by[heads].tolist()):
         k = int(heads[g + 1] if g + 1 < heads.size else by.size) - int(heads[g])
         p, s, w_hi = int(shape_p[c]), int(shape_s[c]), w_lo + int(group_words[g])
-        end = ends[int(cell_chunk[c])]
-        groups[int(cell_chunk[c])].append((
+        end = ends[int(cls_chunk[c])]
+        groups[int(cls_chunk[c])].append((
             k, p, s,
             slice(end[0], end[0] + k * p),
             slice(end[1], end[1] + k * s),
@@ -706,7 +701,7 @@ class WordGroup:
 
     side: str
     length: int
-    letters: np.ndarray  # (W, length, 2), 1-based original indices
+    letters: np.ndarray  # (W, length, 2), 1-based original indices, uint8 up to rank 255
     values: np.ndarray   # (W,) complex
 
 
@@ -737,7 +732,7 @@ class InvariantSignature:
             labels = np.array([f"({c // m},{c % m})" for c in range(m * m)], dtype=object)
             out: dict[str, complex] = {}
             for g in self.balanced_groups:
-                codes = g.letters[:, :, 0] * m + g.letters[:, :, 1]
+                codes = g.letters[:, :, 0].astype(np.intp) * m + g.letters[:, :, 1]
                 keys = map((g.side + ":").__add__, map("".join, labels[codes].tolist()))
                 out.update(zip(keys, g.values.tolist()))
             self._balanced_cache = out
@@ -779,7 +774,8 @@ def fingerprint_from_decomposition(
     if singles:
         tau_bal = _balanced_budget_length(len(singles), cap, tol.word_eval_limit)
         sub = np.stack([sd.coeff_matrices[p] for p in singles])
-        orig = np.array(singles, dtype=np.int64) + 1  # 1-based original indices
+        # 1-based original indices, in the narrowest type that holds the rank
+        orig = (np.array(singles) + 1).astype(np.min_scalar_type(sd.rank))
         # contiguous singles (every nondegenerate state) map by a shift,
         # which is several times faster than a gather
         shift = orig[0] if orig[-1] - orig[0] == orig.size - 1 else None
@@ -818,12 +814,13 @@ def fingerprint_from_decomposition(
     )
 
 
-def fingerprint(
-    rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL, tau_cap: int | None = None
-) -> InvariantSignature:
-    """Signature of a density matrix; deterministic given input bits."""
+def fingerprint(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> InvariantSignature:
+    """Signature of a density matrix; deterministic given input bits.
+
+    The word-length cap is ``tol.tau_cap`` (the CLI's ``--tau-cap``).
+    """
     sd = spectral_decompose(rho, tol)
-    return fingerprint_from_decomposition(sd, power_traces(rho), tol, tau_cap=tau_cap)
+    return fingerprint_from_decomposition(sd, power_traces(rho), tol)
 
 
 def values_close(a: complex, b: complex, eps: float) -> bool:

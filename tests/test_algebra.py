@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import luequiv as lq
-from luequiv.algebra import _finish_basis, algebra_from_words
+from luequiv.algebra import _finish_basis
 from luequiv.errors import GramSingular, NotInSpan
 from luequiv.invariants import Word
 from luequiv.states import decomposition_from_coeffs, transform_decomposition
@@ -107,6 +107,12 @@ class TestGramDet:
         basis = _finish_basis("L", 2, words, elements, 1e-12)
         assert abs(lq.gram_det(basis) - 1.0) < 1e-12
 
+    def test_dependent_elements_raise(self):
+        elements = [unit(0, 0), 2.0 * unit(0, 0)]
+        words = [Word("L", ((1, 1),) * (k + 1)) for k in range(2)]
+        with pytest.raises(GramSingular):
+            _finish_basis("L", 2, words, elements, 1e-12)
+
 
 class TestExpressInBasis:
     def test_basis_element(self):
@@ -148,16 +154,3 @@ class TestLocalUnitaryCovariance:
                 np.testing.assert_allclose(
                     basis.structure, basis2.structure, atol=1e-8
                 )
-
-    def test_algebra_from_words_matches(self):
-        rho, _, u1, u2 = orbit_pair(2, 3, seed=80)
-        sd = lq.spectral_decompose(rho)
-        moved = transform_decomposition(sd, u1, u2)
-        basis = lq.build_algebra(sd, "L")
-        evaluated = algebra_from_words(moved, basis.words)
-        np.testing.assert_allclose(basis.gram, evaluated.gram, atol=1e-8)
-
-    def test_vanishing_word_raises(self, diag_half_decompositions):
-        sd_a, _ = diag_half_decompositions
-        with pytest.raises(GramSingular):
-            algebra_from_words(sd_a, (Word("L", ((1, 2),)),))

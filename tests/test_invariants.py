@@ -635,8 +635,8 @@ class TestFingerprint:
         sig = lq.fingerprint(lq.random_density(3, 4, [2, 1, 1], seed=seed))
         for g in sig.balanced_groups:
             arr = _canonical_letter_arrays(2, g.length)
-            want = np.array(singles, dtype=np.int64)[arr] + 1
-            assert g.letters.dtype == want.dtype
+            want = np.array(singles, dtype=np.uint8)[arr] + 1
+            assert g.letters.dtype == want.dtype == np.uint8
             np.testing.assert_array_equal(g.letters, want)
 
     def test_deterministic(self):
