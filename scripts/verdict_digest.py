@@ -30,6 +30,11 @@ Corpora (all by default, or name them with --corpus):
     algebra        build_algebra, both sides, on the 200 states of
                    acceptance criterion 5 and both states of the 50
                    orbit pairs of criterion 6
+    near-gap       near_gap_corpus of tests/test_decider.py at N=2-4:
+                   states whose top two eigenvalues sit a relative gap
+                   of 1e-11 to 1e-3 apart, against their exact and their
+                   1e-12-perturbed local-unitary images, both ways, and
+                   against their complex conjugates
 """
 
 from __future__ import annotations
@@ -158,6 +163,14 @@ def algebra():
             yield "\t".join([name, side, str(basis.dim), hashlib.sha256(keys.encode()).hexdigest()])
 
 
+def near_gap():
+    import test_decider as td
+
+    for n in (2, 3, 4):
+        for name, a, b, _ in td.near_gap_corpus(n):
+            yield name, a, b
+
+
 def _verdicts(pairs):
     """A corpus of decided pairs, as digest lines."""
     return lambda: (digest_line(name, lq.decide(a, b)) for name, a, b in pairs())
@@ -171,6 +184,7 @@ CORPORA = {
     "decide-orbit": _verdicts(decide_orbit),
     "cli-reports": cli_reports,
     "algebra": algebra,
+    "near-gap": _verdicts(near_gap),
 }
 
 

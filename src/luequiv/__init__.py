@@ -26,7 +26,6 @@ from .invariants import (
     Word,
     block_invariant,
     compare_signatures,
-    enumerate_balanced_words,
     fingerprint,
     power_traces,
     word_trace,
@@ -54,7 +53,6 @@ __all__ = [
     "power_traces",
     "word_trace",
     "block_invariant",
-    "enumerate_balanced_words",
     "fingerprint",
     "compare_signatures",
     "AlgebraBasis",

@@ -12,7 +12,11 @@ further invariant.  The longer words (O(r^3) of length 3 for r
 singleton eigenvectors) serve only to name a witness for a pair that no
 certificate maps onto each other.  The O(r^2) words of length at most 2
 cost less than a certificate system, so they still come first and reject
-most inequivalent pairs before any system is built.
+most inequivalent pairs before any system is built.  A witness counts
+only when no certificate exists at the coarse block structure either,
+which chains eigenvalues a relative gap of sqrt(eps_deg) apart: just
+above eps_deg, eigh leaves rounding noise in their words larger than
+eps_inv.
 
 Certificate search.  Eigendecompositions fix eigenvectors only up to a
 phase, and up to remixing inside degeneracy blocks.  Under
@@ -67,7 +71,7 @@ equations in 2 N^2 unknowns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -82,8 +86,14 @@ from .invariants import (
     values_close,
     word_trace,
 )
-from .linalg import dagger, frob, kron, nullspace, polar_decompose
-from .states import DensityMatrix, SpectralDecomposition, _check_unitary, spectral_decompose
+from .linalg import dagger, frob, nullspace, polar_decompose
+from .states import (
+    DensityMatrix,
+    SpectralDecomposition,
+    _check_unitary,
+    _degeneracy_blocks,
+    spectral_decompose,
+)
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -139,7 +149,7 @@ def certify(
         raise DimensionMismatch("states live on different local dimensions")
     u = _check_unitary(u, n, tol.eps_unitary, "u")
     w = _check_unitary(w, n, tol.eps_unitary, "w")
-    v = kron(dagger(u), w.T)  # u^dagger (x) (w*)^dagger
+    v = np.kron(dagger(u), w.T)  # u^dagger (x) (w*)^dagger
     return frob(rho2.matrix - v @ rho.matrix @ dagger(v))
 
 
@@ -317,8 +327,7 @@ def _search_pair(
         x, y = x / nx, y / ny
         if not (_nonsingular(x, tol.eps_det) and _nonsingular(y, tol.eps_det)):
             continue
-        u = polar_decompose(x).unitary_part
-        w = polar_decompose(y).unitary_part
+        u, w = polar_decompose(x), polar_decompose(y)
         residual = certify(rho1, rho2, u, w, tol)
         if residual <= tol.eps_cert:
             return Certificate(u, w, residual)
@@ -399,6 +408,38 @@ def _joint_blocks(
     return tuple(tuple(range(a, b)) for a, b in zip(starts, ends))
 
 
+def _coarse_verdict(
+    rho1: DensityMatrix,
+    rho2: DensityMatrix,
+    sd1: SpectralDecomposition,
+    sd2: SpectralDecomposition,
+    blocks: tuple[tuple[int, ...], ...],
+    tol: Tolerances,
+) -> EquivalenceVerdict | None:
+    """An equivalent verdict certified at the coarse block structure, or None.
+
+    eigh pins the eigenvectors of two eigenvalues a relative gap g apart
+    only to about eps / g, so just above ``eps_deg`` their words move by
+    rounding noise larger than ``eps_inv``.  The coarse blocks re-chain
+    both spectra at a relative gap of sqrt(eps_deg); a cluster's block sums
+    stay well conditioned even when its members' eigenvectors are not.
+    """
+    gap = math.sqrt(tol.eps_deg)
+    coarse = _joint_blocks(*(
+        replace(sd, blocks=_degeneracy_blocks(sd.eigenvalues, sd.dim_local, gap))
+        for sd in (sd1, sd2)
+    ))
+    if coarse == blocks:
+        return None
+    certificate, details = _attempt_certificate(rho1, rho2, sd1, sd2, coarse, tol)
+    if certificate is None:
+        return None
+    details["coarse_blocks"] = [list(b) for b in coarse]
+    return EquivalenceVerdict(
+        outcome=EQUIVALENT, certificate=certificate, reason="certificate", details=details
+    )
+
+
 def _witness_verdict(mismatch: tuple[str, str, complex, complex]) -> EquivalenceVerdict:
     kind, key, va, vb = mismatch
     if kind == "structure":
@@ -451,7 +492,8 @@ def decide(
             sig2 = fingerprint_from_decomposition(sd2, js2, tol, blocks=blocks, tau_cap=tau)
             mismatch = compare_signatures(sig1, sig2, tol.eps_inv)
             if mismatch is not None:
-                return _witness_verdict(mismatch)
+                coarse = _coarse_verdict(rho1, rho2, sd1, sd2, blocks, tol)
+                return coarse or _witness_verdict(mismatch)
             if rung == 0:
                 certificate, details = _attempt_certificate(rho1, rho2, sd1, sd2, blocks, tol)
                 if certificate is not None:

@@ -37,10 +37,6 @@ class PatternMismatch(LuequivError):
     """A block-invariant pattern is not a permutation of the slots."""
 
 
-class BudgetExceeded(LuequivError):
-    """An enumeration would exceed the configured evaluation budget."""
-
-
 class GramSingular(LuequivError):
     """Gram matrix of an algebra basis is numerically singular."""
 

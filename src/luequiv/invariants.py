@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import BudgetExceeded, IndexOutOfRange, PatternMismatch
+from .errors import IndexOutOfRange, PatternMismatch
 from .states import DensityMatrix, SpectralDecomposition, spectral_decompose
 
 SIDES = ("L", "R")
@@ -67,11 +67,6 @@ class Word:
             raise ValueError("side must be 'L' or 'R'")
         if len(self.letters) < 1:
             raise ValueError("a word has at least one letter")
-
-    def canonical(self) -> "Word":
-        """Lexicographically minimal cyclic rotation (trace cyclicity)."""
-        rots = [self.letters[r:] + self.letters[:r] for r in range(len(self.letters))]
-        return Word(self.side, min(rots))
 
     def key(self) -> str:
         return self.side + ":" + "".join(f"({i},{j})" for i, j in self.letters)
@@ -91,8 +86,8 @@ def power_traces(rho: DensityMatrix) -> np.ndarray:
     return np.array([float(np.sum(lams**s)) for s in range(1, nn + 1)])
 
 
-def word_matrix(sd: SpectralDecomposition, word: Word) -> np.ndarray:
-    """Ordered product of the word's factors."""
+def word_trace(sd: SpectralDecomposition, word: Word) -> complex:
+    """Trace of the ordered product of the word's factors."""
     n = sd.rank
     out = np.eye(sd.dim_local, dtype=complex)
     for i, j in word.letters:
@@ -100,11 +95,7 @@ def word_matrix(sd: SpectralDecomposition, word: Word) -> np.ndarray:
             raise IndexOutOfRange(f"letter ({i},{j}) exceeds rank {n}")
         a, b = sd.coeff_matrices[i - 1], sd.coeff_matrices[j - 1]
         out = out @ (a @ b.conj().T if word.side == "L" else a.conj().T @ b)
-    return out
-
-
-def word_trace(sd: SpectralDecomposition, word: Word) -> complex:
-    return complex(np.trace(word_matrix(sd, word)))
+    return complex(np.trace(out))
 
 
 # ---------------------------------------------------------------------------
@@ -247,27 +238,6 @@ def _right_to_left_index(n: int, length: int) -> np.ndarray:
         index[lo : lo + _ROW_BATCH] = np.searchsorted(rows, _least_rotation(moved, base, length))
     index.flags.writeable = False
     return index
-
-
-def enumerate_balanced_words(
-    n: int, max_len: int, side: str = "L", limit: int | None = None
-) -> list[Word]:
-    """All canonical balanced words up to ``max_len`` in deterministic order."""
-    if n < 1 or max_len < 1:
-        raise ValueError("rank and max length must be at least 1")
-    total = 0
-    for length in range(1, max_len + 1):
-        total += count_balanced_words(n, length)
-        if limit is not None and total > limit:
-            raise BudgetExceeded(
-                f"balanced enumeration needs {total} evaluations, limit is {limit}"
-            )
-    words = []
-    for length in range(1, max_len + 1):
-        arr = _canonical_letter_arrays(n, length)
-        for row in arr:
-            words.append(Word(side, tuple((int(i) + 1, int(j) + 1) for i, j in row)))
-    return words
 
 
 def _unpack(packed: np.ndarray, base: int, length: int) -> np.ndarray:

@@ -4,7 +4,7 @@ State file schema (version 1)::
 
     {
       "schema_version": 1,
-      "local_dim": 2,
+      "local_dim": 2,                    # a JSON integer, at least 1
       "label": "optional text",
       "matrix": [[[re, im], ...], ...]   # row-major, N^2 x N^2
     }
@@ -12,7 +12,9 @@ State file schema (version 1)::
 Complex numbers are always [re, im] pairs of doubles; serialization uses
 Python's shortest-round-trip float repr, so files are bit-faithful and
 diff cleanly.  A matrix entry that is not a list of exactly two numbers
-(a string, a triple, a pair of booleans) is a `ParseError`.
+(a string, a triple, a pair of booleans) is a `ParseError`, and so is a
+``schema_version`` or ``local_dim`` that is not a JSON integer (``2.7``,
+``"abc"``, ``true``, ``null``) or a ``local_dim`` below 1.
 
 State files and reports are written by `dump_json`, whose bytes are those
 of ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` (a parity test
@@ -148,13 +150,16 @@ def load_state(
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level JSON object expected")
-    if doc.get("schema_version") != STATE_SCHEMA_VERSION:
-        raise ParseError(f"{path}: unsupported schema_version {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != STATE_SCHEMA_VERSION:
+        raise ParseError(f"{path}: unsupported schema_version {version!r}")
     try:
-        n = int(doc["local_dim"])
+        n = doc["local_dim"]
         matrix = pairs_to_matrix(doc["matrix"])
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
+    if type(n) is not int or n < 1:
+        raise ParseError(f"{path}: local_dim must be an integer of at least 1, got {n!r}")
     label = doc.get("label")
     if validate:
         return validate_density(matrix, n, tol), label

@@ -1,5 +1,5 @@
-"""Dense complex matrix kernel: eigendecomposition, SVD, polar form,
-Kronecker products, partial traces and null spaces.
+"""Dense complex matrix kernel: eigendecomposition, the unitary polar factor
+and null spaces.
 
 All functions are pure, operate on plain ``numpy`` complex arrays, and are
 deterministic given identical input bits (LAPACK drivers, no randomized
@@ -26,12 +26,10 @@ def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def ensure_matrix(m, square: bool = False) -> np.ndarray:
-    """Coerce to a finite 2-D complex array."""
+def ensure_matrix(m) -> np.ndarray:
+    """Coerce to a finite square complex array."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionMismatch(f"expected a 2-D matrix, got shape {a.shape}")
-    if square and a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("matrix contains non-finite entries")
@@ -43,20 +41,9 @@ class HermitianEig(NamedTuple):
     eigenvectors: np.ndarray  # unitary, columns match eigenvalues
 
 
-class SVDResult(NamedTuple):
-    left: np.ndarray
-    singulars: np.ndarray     # nonnegative, descending
-    right: np.ndarray         # M = left @ diag(singulars) @ right^dagger
-
-
-class PolarResult(NamedTuple):
-    unitary_part: np.ndarray
-    positive_part: np.ndarray  # Hermitian PSD, M = unitary_part @ positive_part
-
-
 def hermitian_eigendecompose(m, eps_herm: float = DEFAULT_TOL.eps_herm) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    a = ensure_matrix(m, square=True)
+    a = ensure_matrix(m)
     if frob(a - dagger(a)) > eps_herm * max(1.0, frob(a)):
         raise NotHermitian(
             f"||M - M^dagger||_F = {frob(a - dagger(a)):.3e} exceeds tolerance"
@@ -69,48 +56,16 @@ def hermitian_eigendecompose(m, eps_herm: float = DEFAULT_TOL.eps_herm) -> Hermi
     return HermitianEig(w[order], v[:, order])
 
 
-def svd(m) -> SVDResult:
-    """Singular value decomposition, singular values descending."""
-    a = ensure_matrix(m)
+def polar_decompose(m: np.ndarray) -> np.ndarray:
+    """Unitary factor u of the polar decomposition M = u P, P Hermitian PSD.
+
+    From the SVD M = W diag(s) V^dagger, u = W V^dagger.
+    """
     try:
-        u, s, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        w, _, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise ConvergenceFailure(str(exc)) from exc
-    return SVDResult(u, s, dagger(vh))
-
-
-def polar_decompose(m) -> PolarResult:
-    """Polar decomposition M = u P with u unitary and P Hermitian PSD.
-
-    Computed from the SVD: u = left @ right^dagger, P = right diag(s) right^dagger.
-    """
-    a = ensure_matrix(m, square=True)
-    res = svd(a)
-    unitary = res.left @ dagger(res.right)
-    positive = res.right @ np.diag(res.singulars) @ dagger(res.right)
-    return PolarResult(unitary, positive)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the first factor as the slow index."""
-    return np.kron(ensure_matrix(a), ensure_matrix(b))
-
-
-def partial_trace(m, which: str, n: int) -> np.ndarray:
-    """Trace out one tensor factor of a matrix on H (x) H.
-
-    ``which`` names the subsystem that is traced out: ``"second"`` keeps the
-    first factor, ``"first"`` keeps the second.
-    """
-    a = ensure_matrix(m, square=True)
-    if a.shape[0] != n * n:
-        raise DimensionMismatch(f"expected a {n * n}x{n * n} matrix, got {a.shape}")
-    if which not in ("first", "second"):
-        raise ValueError("which must be 'first' or 'second'")
-    r = a.reshape(n, n, n, n)  # indices (k, l, k', l'), row-major |kl>
-    if which == "second":
-        return np.einsum("abcb->ac", r)
-    return np.einsum("abac->bc", r)
+    return w @ vh
 
 
 class NullSpace(NamedTuple):

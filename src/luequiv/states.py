@@ -10,7 +10,7 @@ phase handling is owned by the decision pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,17 +22,11 @@ from .errors import (
     NotUnitary,
     NotUnitTrace,
 )
-from .linalg import dagger, ensure_matrix, frob, hermitian_eigendecompose, kron
+from .linalg import dagger, ensure_matrix, frob, hermitian_eigendecompose
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.flags.writeable = False
-    return out
-
-
-def _readonly_real(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _readonly(a: np.ndarray, dtype=complex) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -71,7 +65,7 @@ class SpectralDecomposition:
 
 def validate_density(matrix, n: int, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; never repairs input."""
-    m = ensure_matrix(matrix, square=True)
+    m = ensure_matrix(matrix)
     if n < 1 or m.shape[0] != n * n:
         raise DimensionMismatch(
             f"matrix is {m.shape[0]}x{m.shape[0]}, expected {n * n}x{n * n} for N={n}"
@@ -113,17 +107,8 @@ def spectral_decompose(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Spe
     vecs = eig.eigenvectors[:, keep]
     coeffs = tuple(_readonly(vecs[:, i].reshape(n, n)) for i in range(vecs.shape[1]))
     return SpectralDecomposition(
-        n, _readonly_real(lams), coeffs, _degeneracy_blocks(lams, n, tol.eps_deg)
+        n, _readonly(lams, float), coeffs, _degeneracy_blocks(lams, n, tol.eps_deg)
     )
-
-
-def coeff_to_vector(a: np.ndarray) -> np.ndarray:
-    """Inverse of the eigenvector reshape; round-trips exactly."""
-    return np.asarray(a, dtype=complex).reshape(-1).copy()
-
-
-def vector_to_coeff(v: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(n, n).copy()
 
 
 def density_from_decomposition(sd: SpectralDecomposition) -> DensityMatrix:
@@ -131,7 +116,7 @@ def density_from_decomposition(sd: SpectralDecomposition) -> DensityMatrix:
     n = sd.dim_local
     out = np.zeros((n * n, n * n), dtype=complex)
     for lam, a in zip(sd.eigenvalues, sd.coeff_matrices):
-        v = coeff_to_vector(a)
+        v = a.reshape(-1)
         out += lam * np.outer(v, v.conj())
     return DensityMatrix(n, _readonly(out))
 
@@ -144,7 +129,7 @@ def decomposition_from_coeffs(
 ) -> SpectralDecomposition:
     """Build a decomposition directly from eigenvalues and A_i matrices."""
     lams = np.asarray(eigenvalues, dtype=float)
-    mats = tuple(_readonly(ensure_matrix(a, square=True)) for a in coeffs)
+    mats = tuple(_readonly(ensure_matrix(a)) for a in coeffs)
     if len(mats) != len(lams):
         raise DimensionMismatch("one coefficient matrix per eigenvalue required")
     if any(m.shape[0] != dim_local for m in mats):
@@ -155,12 +140,12 @@ def decomposition_from_coeffs(
         if abs(frob(m) - 1.0) > 1e-6:
             raise ValueError("coefficient matrices must have unit Frobenius norm")
     return SpectralDecomposition(
-        dim_local, _readonly_real(lams), mats, _degeneracy_blocks(lams, dim_local, tol.eps_deg)
+        dim_local, _readonly(lams, float), mats, _degeneracy_blocks(lams, dim_local, tol.eps_deg)
     )
 
 
 def _check_unitary(u: np.ndarray, n: int, eps: float, name: str) -> np.ndarray:
-    m = ensure_matrix(u, square=True)
+    m = ensure_matrix(u)
     if m.shape[0] != n:
         raise DimensionMismatch(f"{name} must be {n}x{n}")
     if frob(m @ dagger(m) - np.eye(n)) > eps * max(1.0, frob(m)):
@@ -175,7 +160,7 @@ def apply_local_unitary(
     n = rho.dim_local
     m1 = _check_unitary(u1, n, tol.eps_unitary, "U1")
     m2 = _check_unitary(u2, n, tol.eps_unitary, "U2")
-    v = kron(m1, m2)
+    v = np.kron(m1, m2)
     return validate_density(v @ rho.matrix @ dagger(v), n, tol)
 
 
@@ -185,15 +170,15 @@ def transform_decomposition(sd: SpectralDecomposition, u1, u2) -> SpectralDecomp
     The image coefficients are exactly U1 A_i U2^T, with no re-diagonalization
     and hence no phase or intra-block remixing noise.
     """
-    m1 = ensure_matrix(u1, square=True)
-    m2 = ensure_matrix(u2, square=True)
+    m1 = ensure_matrix(u1)
+    m2 = ensure_matrix(u2)
     coeffs = tuple(_readonly(m1 @ a @ m2.T) for a in sd.coeff_matrices)
     return SpectralDecomposition(sd.dim_local, sd.eigenvalues, coeffs, sd.blocks)
 
 
 def remix_block(sd: SpectralDecomposition, block: tuple[int, ...], u) -> SpectralDecomposition:
     """Remix the eigenvectors of one degeneracy block by a unitary."""
-    m = ensure_matrix(u, square=True)
+    m = ensure_matrix(u)
     if m.shape[0] != len(block):
         raise DimensionMismatch("remix unitary must match the block size")
     coeffs = list(sd.coeff_matrices)

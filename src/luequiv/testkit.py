@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import InvalidProfile
-from .linalg import dagger, kron
+from .linalg import dagger
 from .states import DensityMatrix, validate_density
 
 
@@ -140,7 +140,7 @@ def brute_force_oracle(
     def cost(p: np.ndarray) -> float:
         u1 = exp_i_hermitian(_hermitian_from_params(p[:nn], n))
         u2 = exp_i_hermitian(_hermitian_from_params(p[nn:], n))
-        v = kron(u1, u2)
+        v = np.kron(u1, u2)
         diff = m2 - v @ rho.matrix @ dagger(v)
         return float(np.real(np.vdot(diff, diff)))
 

@@ -133,6 +133,15 @@ class TestCompare:
         res = run_cli("compare", states["mixed"], tmp_path / "n3.json")
         assert res.returncode == 7
 
+    @pytest.mark.parametrize("local_dim", ["abc", None, 2.7, True])
+    def test_malformed_local_dim_is_a_parse_error(self, states, tmp_path, local_dim):
+        # exit 1 means "not equivalent"; a bad header is exit 3
+        doc = json.loads(states["mixed"].read_text())
+        doc["local_dim"] = local_dim
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main_in_process("compare", bad, states["mixed"])[0] == 3
+
 
 class TestOrbitRoundTrip:
     def test_deterministic_outputs(self, states, tmp_path):

@@ -13,6 +13,7 @@ from luequiv.linalg import dagger
 from luequiv.states import decomposition_from_coeffs
 
 from conftest import count_calls, orbit_pair, recompute_witness, unit, weyl_bell_diagonal, werner
+from test_known_answers import _perturbed
 
 
 class TestCertify:
@@ -564,15 +565,33 @@ def _near_gap_image(n, rel, seed):
     return rho, lq.apply_local_unitary(rho, lq.haar_unitary(n, 30 + seed), lq.haar_unitary(n, 40 + seed))
 
 
+NEAR_GAP_RELS = (
+    1e-11, 3e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7,
+    1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3,
+)
+
+
+def near_gap_corpus(n):
+    """(name, rho_a, rho_b, equivalent) at local dimension ``n``: for seeds
+    0-2 and every gap of ``NEAR_GAP_RELS``, the exact image and the image
+    moved by a 1e-12 Hermitian perturbation, both ways, and the state
+    against its complex conjugate, which no local unitary reaches."""
+    for seed in range(3):
+        for rel in NEAR_GAP_RELS:
+            rho, image = _near_gap_image(n, rel, seed)
+            moved = _perturbed(image, 1800 + seed)
+            name = f"near-gap:n{n}-s{seed}-rel{rel:g}"
+            yield f"{name} image", rho, image, True
+            yield f"{name} image swapped", image, rho, True
+            yield f"{name} perturbed", rho, moved, True
+            yield f"{name} perturbed swapped", moved, rho, True
+            yield f"{name} conjugate", rho, lq.validate_density(rho.matrix.conj(), n), False
+
+
 class TestNearGapImages:
     # eigh pins the two eigenvectors only to about eps * |rho| / gap, so a
-    # word such as L:(1,1)(1,1) moves by more than eps_inv, and that rounding
-    # noise is returned as a witness before any certificate is tried
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="rounding noise at a near-degenerate gap is taken as a witness",
-    )
+    # word such as L:(1,1)(1,1) moves by more than eps_inv; the pair still
+    # certifies once the two eigenvalues share a block
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize(
         "n, rel, seed", [(2, 1e-8, 2), (2, 3e-8, 7), (3, 1e-8, 1), (3, 1e-8, 5), (3, 3e-8, 0)]
@@ -580,4 +599,18 @@ class TestNearGapImages:
     def test_exact_image_is_not_rejected(self, n, rel, seed, swap):
         rho, image = _near_gap_image(n, rel, seed)
         a, b = (image, rho) if swap else (rho, image)
-        assert lq.decide(a, b).outcome != NOT_EQUIVALENT
+        verdict = lq.decide(a, b)
+        assert verdict.outcome == EQUIVALENT
+        assert verdict.details["coarse_blocks"][0] == [0, 1]
+        assert lq.certify(a, b, verdict.certificate.u, verdict.certificate.w) <= DEFAULT_TOL.eps_cert
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sweep_keeps_witnesses_only_for_the_conjugate(self, n):
+        for name, a, b, equivalent in near_gap_corpus(n):
+            verdict = lq.decide(a, b)
+            if equivalent:
+                assert verdict.outcome != NOT_EQUIVALENT, name
+            else:
+                assert verdict.outcome == NOT_EQUIVALENT, name
+                va, vb = recompute_witness(a, b, verdict.witness)
+                assert not values_close(va, vb, DEFAULT_TOL.eps_inv), name

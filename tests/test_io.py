@@ -1,4 +1,4 @@
-"""The JSON writer and the state-file matrix reader."""
+"""The JSON writer and the state-file reader."""
 
 import json
 import math
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luequiv.errors import ParseError
-from luequiv.io import dump_json, pairs_to_matrix
+from luequiv.io import dump_json, load_state, pairs_to_matrix
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, math.nan,
                   math.inf, -math.inf, 1e300, 0.1]
@@ -82,3 +82,29 @@ class TestPairsToMatrix:
     def test_rejects_malformed_entries(self, entry):
         with pytest.raises(ParseError):
             pairs_to_matrix([[[0.5, 0.0], entry]])
+
+
+class TestLoadState:
+    """Both header fields are exact JSON integers; anything else is a ParseError."""
+
+    @staticmethod
+    def write(tmp_path, **fields):
+        doc = {"schema_version": 1, "local_dim": 1, "matrix": [[[1.0, 0.0]]], **fields}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_integer_fields_load(self, tmp_path):
+        rho, _ = load_state(self.write(tmp_path))
+        assert rho.dim_local == 1
+
+    @pytest.mark.parametrize("local_dim", ["abc", None, 2.7, 1.0, True, 0, -1, "1"])
+    def test_rejects_local_dim(self, tmp_path, local_dim):
+        for validate in (True, False):
+            with pytest.raises(ParseError, match="local_dim"):
+                load_state(self.write(tmp_path, local_dim=local_dim), validate=validate)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None, 2])
+    def test_rejects_schema_version(self, tmp_path, version):
+        with pytest.raises(ParseError, match="schema_version"):
+            load_state(self.write(tmp_path, schema_version=version))

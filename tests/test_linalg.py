@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from luequiv import linalg
-from luequiv.errors import DimensionMismatch, NotHermitian
+from luequiv.errors import NotHermitian
 
 from conftest import random_hermitian, unit
 
@@ -64,123 +64,64 @@ class TestHermitianEig:
 
 
 class TestSVD:
+    """The singular values and vectors ``nullspace`` reads off its one SVD."""
+
     def test_identity(self):
-        res = linalg.svd(np.eye(3, dtype=complex))
-        np.testing.assert_allclose(res.singulars, np.ones(3))
+        np.testing.assert_allclose(linalg.nullspace(np.eye(3, dtype=complex)).singulars, np.ones(3))
 
     def test_rank_one(self):
-        res = linalg.svd(unit(0, 1))
-        np.testing.assert_allclose(res.singulars, [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(linalg.nullspace(unit(0, 1)).singulars, [1.0, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("dim", [2, 3, 7, 16])
     def test_singulars_match_gram_eigenvalues(self, dim):
         rng = np.random.default_rng(100 + dim)
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        res = linalg.svd(m)
+        null = linalg.nullspace(m)
         gram_eigs = linalg.hermitian_eigendecompose(m.conj().T @ m).eigenvalues
         np.testing.assert_allclose(
-            res.singulars, np.sqrt(np.clip(gram_eigs, 0, None)), atol=1e-9
+            null.singulars, np.sqrt(np.clip(gram_eigs, 0, None)), atol=1e-9
         )
-        recon = res.left @ np.diag(res.singulars) @ res.right.conj().T
-        assert np.linalg.norm(recon - m) <= 1e-10 * np.linalg.norm(m)
+        # row k is a right singular vector: |M v_k| is its singular value
+        np.testing.assert_allclose(
+            np.linalg.norm(m @ null.vectors.T, axis=0), null.singulars, atol=1e-10
+        )
+
+
+def assert_polar_factor(u, m):
+    """``u`` is unitary and u^dagger M is Hermitian positive semidefinite."""
+    dim = m.shape[0]
+    assert np.linalg.norm(u @ u.conj().T - np.eye(dim)) <= 1e-10
+    p = u.conj().T @ m
+    assert np.linalg.norm(p - p.conj().T) <= 1e-10 * max(1.0, np.linalg.norm(m))
+    assert np.linalg.eigvalsh((p + p.conj().T) / 2)[0] >= -1e-10
 
 
 class TestPolar:
     def test_unitary_input(self):
         rng = np.random.default_rng(7)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        res = linalg.polar_decompose(q)
-        np.testing.assert_allclose(res.unitary_part, q, atol=1e-12)
-        np.testing.assert_allclose(res.positive_part, np.eye(3), atol=1e-12)
+        u = linalg.polar_decompose(q)
+        assert_polar_factor(u, q)
+        np.testing.assert_allclose(u, q, atol=1e-12)
 
     def test_positive_scaling(self):
-        res = linalg.polar_decompose(2.0 * np.eye(2, dtype=complex))
-        np.testing.assert_allclose(res.unitary_part, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(res.positive_part, 2 * np.eye(2), atol=1e-14)
+        m = 2.0 * np.eye(2, dtype=complex)
+        u = linalg.polar_decompose(m)
+        assert_polar_factor(u, m)
+        np.testing.assert_allclose(u, np.eye(2), atol=1e-14)
 
     def test_scaled_unitary_strips_scale_exactly(self):
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        res = linalg.polar_decompose(2.0 * q)
-        np.testing.assert_allclose(res.unitary_part, q, atol=1e-13)
+        u = linalg.polar_decompose(2.0 * q)
+        assert_polar_factor(u, 2.0 * q)
+        np.testing.assert_allclose(u, q, atol=1e-13)
 
     def test_reconstruction_and_unitarity(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            res = linalg.polar_decompose(m)
-            assert np.linalg.norm(res.unitary_part @ res.positive_part - m) <= 1e-10
-            u = res.unitary_part
-            assert np.linalg.norm(u @ u.conj().T - np.eye(3)) <= 1e-10
-            herm = res.positive_part - res.positive_part.conj().T
-            assert np.linalg.norm(herm) <= 1e-10
-
-
-class TestKron:
-    def test_identities(self):
-        np.testing.assert_array_equal(
-            linalg.kron(np.eye(2), np.eye(2)), np.eye(4)
-        )
-        np.testing.assert_array_equal(
-            linalg.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-            np.diag([0.0, 1.0, 0.0, 0.0]),
-        )
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(10)
-        mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4)]
-        a, b, c, d = mats
-        lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-        rhs = linalg.kron(a @ c, b @ d)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
-
-
-class TestPartialTrace:
-    def test_pure_state_coefficient_identity(self):
-        # Tr over the second factor of |v><v| equals A A^dagger
-        rng = np.random.default_rng(11)
-        for n in (2, 3):
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            a /= np.linalg.norm(a)
-            v = a.reshape(-1)
-            proj = np.outer(v, v.conj())
-            np.testing.assert_allclose(
-                linalg.partial_trace(proj, "second", n), a @ a.conj().T, atol=1e-12
-            )
-
-    def test_maximally_mixed(self):
-        np.testing.assert_allclose(
-            linalg.partial_trace(np.eye(4) / 4, "first", 2), np.eye(2) / 2, atol=1e-15
-        )
-
-    def test_product_state_factorization(self):
-        rng = np.random.default_rng(12)
-        for which, keep in (("second", 0), ("first", 1)):
-            parts = []
-            for _ in range(2):
-                h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                h = h @ h.conj().T
-                parts.append(h / np.trace(h))
-            full = linalg.kron(parts[0], parts[1])
-            np.testing.assert_allclose(
-                linalg.partial_trace(full, which, 2), parts[keep], atol=1e-12
-            )
-
-    def test_trace_preserving_and_linear(self):
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        b = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        for which in ("first", "second"):
-            ta = linalg.partial_trace(a, which, 3)
-            assert abs(np.trace(ta) - np.trace(a)) <= 1e-12 * max(1, abs(np.trace(a)))
-            mix = linalg.partial_trace(2.0 * a + 1j * b, which, 3)
-            np.testing.assert_allclose(
-                mix, 2.0 * ta + 1j * linalg.partial_trace(b, which, 3), atol=1e-12
-            )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            linalg.partial_trace(np.eye(4), "first", 3)
+            assert_polar_factor(linalg.polar_decompose(m), m)
 
 
 def commutant_system(pairs, dim):

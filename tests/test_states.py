@@ -12,12 +12,10 @@ from luequiv.errors import (
     NotUnitTrace,
 )
 from luequiv.states import (
-    coeff_to_vector,
     decomposition_from_coeffs,
     density_from_decomposition,
     remix_block,
     transform_decomposition,
-    vector_to_coeff,
 )
 
 from conftest import bell_density, orbit_pair, unit
@@ -151,19 +149,24 @@ class TestApplyLocalUnitary:
 
 
 class TestCoefficientReshape:
+    # A[k, l] = v[k * N + l]: a unit-weight decomposition reassembles |v><v|
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_is_exact(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 5))
         v = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
-        assert np.array_equal(coeff_to_vector(vector_to_coeff(v, n)), v)
+        v /= np.linalg.norm(v)
+        sd = decomposition_from_coeffs(n, [1.0], [v.reshape(n, n)])
+        assert np.array_equal(density_from_decomposition(sd).matrix, np.outer(v, v.conj()))
 
     def test_basis_vectors(self):
-        np.testing.assert_array_equal(coeff_to_vector(unit(0, 0)), [1, 0, 0, 0])
+        sd = decomposition_from_coeffs(2, [1.0], [unit(0, 0)])
+        np.testing.assert_array_equal(density_from_decomposition(sd).matrix, np.diag([1, 0, 0, 0]))
         a = np.diag([1, 1]).astype(complex) / np.sqrt(2)
-        v = coeff_to_vector(a)
-        np.testing.assert_allclose(v, np.array([1, 0, 0, 1]) / np.sqrt(2))
+        sd = decomposition_from_coeffs(2, [1.0], [a])
+        v = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        np.testing.assert_allclose(density_from_decomposition(sd).matrix, np.outer(v, v))
 
 
 class TestDecompositionHelpers:
