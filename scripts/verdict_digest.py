@@ -26,7 +26,10 @@ Corpora (all by default, or name them with --corpus):
     decide-orbit   the lubench decide-orbit inputs, seeds 1-4, both ways
     cli-reports    luequiv.cli.main, in process, on the lubench cli
                    inputs of seeds 1-2 and on the states of
-                   tests/test_cli.py (each subcommand but validate)
+                   tests/test_cli.py (each subcommand but validate),
+                   plus the fingerprint of an N=4 rank-10 state (two-digit
+                   word labels, an 8.7 MB report) and of an N=4 state of
+                   degeneracy profile (2,2,1,1,1) (word and block tables)
     algebra        build_algebra, both sides, on the 200 states of
                    acceptance criterion 5 and both states of the 50
                    orbit pairs of criterion 6
@@ -108,6 +111,8 @@ def _cli_inputs(tmp: Path):
     import workloads
     from test_cli import write_states
 
+    from luequiv.io import save_state
+
     for seed in (1, 2):
         workdir = tmp / f"s{seed}"
         workdir.mkdir()
@@ -118,6 +123,11 @@ def _cli_inputs(tmp: Path):
     for name, path in states.items():
         yield f"cli-reports:{name}", ["fingerprint", path]
     yield "cli-reports:bell tau-cap 1", ["fingerprint", states["bell"], "--tau-cap", "1"]
+    # two-digit word labels (91,700 words), and word and block tables together
+    for name, rank, profile in (("n4-r10", 10, None), ("n4-p22111", 7, [2, 2, 1, 1, 1])):
+        path = tmp / f"{name}.json"
+        save_state(path, lq.random_density(4, rank, profile, seed=19).matrix, 4)
+        yield f"cli-reports:{name}", ["fingerprint", path]
     for a in ("mixed", "bell", "flat_a", "flat_b"):
         for b in ("mixed", "bell", "flat_a", "flat_b"):
             yield f"cli-reports:{a}-{b}", ["compare", states[a], states[b], "--json"]

@@ -12,11 +12,12 @@ further invariant.  The longer words (O(r^3) of length 3 for r
 singleton eigenvectors) serve only to name a witness for a pair that no
 certificate maps onto each other.  The O(r^2) words of length at most 2
 cost less than a certificate system, so they still come first and reject
-most inequivalent pairs before any system is built.  A witness counts
-only when no certificate exists at the coarse block structure either,
-which chains eigenvalues a relative gap of sqrt(eps_deg) apart: just
-above eps_deg, eigh leaves rounding noise in their words larger than
-eps_inv.
+most inequivalent pairs before any system is built.  A witness, or an
+``inconclusive`` after every rung agreed, counts only when no certificate
+exists at the coarse block structure either, which chains eigenvalues a
+relative gap of sqrt(eps_deg) apart: just above eps_deg, eigh leaves
+rounding noise in their words larger than eps_inv, and in their
+eigenvectors more than the certificate systems tolerate.
 
 Certificate search.  Eigendecompositions fix eigenvectors only up to a
 phase, and up to remixing inside degeneracy blocks.  Under
@@ -465,6 +466,8 @@ def decide(
     at ``tol.effective_tau_cap``.  A pair that agrees through length 2 and
     certifies is equivalent whatever its longer words; the longer words are
     evaluated only to find a witness once the certificate has failed.
+    Before a witness or a final ``inconclusive`` is returned, the pair is
+    tried once more at the coarse block structure (``_coarse_verdict``).
     """
     if rho1.dim_local != rho2.dim_local:
         raise DimensionMismatch("states live on different local dimensions")
@@ -492,8 +495,7 @@ def decide(
             sig2 = fingerprint_from_decomposition(sd2, js2, tol, blocks=blocks, tau_cap=tau)
             mismatch = compare_signatures(sig1, sig2, tol.eps_inv)
             if mismatch is not None:
-                coarse = _coarse_verdict(rho1, rho2, sd1, sd2, blocks, tol)
-                return coarse or _witness_verdict(mismatch)
+                break
             if rung == 0:
                 certificate, details = _attempt_certificate(rho1, rho2, sd1, sd2, blocks, tol)
                 if certificate is not None:
@@ -501,6 +503,11 @@ def decide(
                         outcome=EQUIVALENT, certificate=certificate,
                         reason="certificate", details=details,
                     )
+        coarse = _coarse_verdict(rho1, rho2, sd1, sd2, blocks, tol)
+        if coarse is not None:
+            return coarse
+        if mismatch is not None:
+            return _witness_verdict(mismatch)
     except DimensionMismatch:
         raise
     except LuequivError as exc:

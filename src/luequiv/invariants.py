@@ -701,10 +701,14 @@ class InvariantSignature:
             m = self.rank + 1
             labels = np.array([f"({c // m},{c % m})" for c in range(m * m)], dtype=object)
             out: dict[str, complex] = {}
+            letters = bodies = None
             for g in self.balanced_groups:
-                codes = g.letters[:, :, 0].astype(np.intp) * m + g.letters[:, :, 1]
-                keys = map((g.side + ":").__add__, map("".join, labels[codes].tolist()))
-                out.update(zip(keys, g.values.tolist()))
+                # both sides of a length share one letters array, so one body list
+                if g.letters is not letters:
+                    letters = g.letters
+                    codes = letters[:, :, 0].astype(np.intp) * m + letters[:, :, 1]
+                    bodies = list(map("".join, labels[codes].tolist()))
+                out.update(zip(map((g.side + ":").__add__, bodies), g.values.tolist()))
             self._balanced_cache = out
         return self._balanced_cache
 

@@ -21,7 +21,10 @@ of ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` (a parity test
 pins this), except that it also accepts `complex` values and writes each
 as its [re, im] pair.  It formats the large word and block tables of a
 fingerprint report in one pass instead of through the standard library's
-pure-Python indenting encoder.
+pure-Python indenting encoder, and formats each distinct float bit
+pattern of a table once.  That is exact: the text of a float is a
+function of its bits alone, and ``0.0`` and ``-0.0`` are different
+patterns, so each keeps its own text.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ _INF = float("inf")
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
-    a = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    """Rows of [re, im] entries; every float keeps its bits (``-0.0``, NaN)."""
+    a = np.ascontiguousarray(m, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
 
 
 _NUMBER = {int, float}  # exact types: JSON booleans are not numbers
@@ -85,13 +89,23 @@ def _float(x: float) -> str:
 
 
 def _complex_table(d: dict, pad: str) -> str:
-    """A non-empty dict of complex values, its keys sorted, in one pass."""
+    """A non-empty dict of complex values, its keys sorted, in one pass.
+
+    Each distinct float bit pattern is formatted once.  That is exact: a
+    float's text is a function of its bits alone, and ``0.0`` and ``-0.0``
+    (or NaNs of another sign or payload) are different patterns.  A
+    fingerprint's right-side words repeat its left-side values, so more
+    than half the floats of a word table are repeats.
+    """
     keys = sorted(d)
     z = np.array([d[k] for k in keys], dtype=complex)
+    bits, where = np.unique(z.view(np.uint64), return_inverse=True)
     num = float.__repr__ if np.isfinite(z).all() else _float
+    unique = np.array(list(map(num, bits.view(float).tolist())), dtype=object)
+    text = unique[where].tolist()  # real and imaginary parts interleaved
     inner, sep = pad + "    ", ",\n" + pad + "  "
     row = "{}: [\n" + inner + "{},\n" + inner + "{}\n" + pad + "  ]"
-    rows = map(row.format, map(_quote, keys), map(num, z.real.tolist()), map(num, z.imag.tolist()))
+    rows = map(row.format, map(_quote, keys), text[0::2], text[1::2])
     return f"{{\n{pad}  {sep.join(rows)}\n{pad}}}"  # one copy of the joined rows
 
 

@@ -625,9 +625,12 @@ class TestFingerprint:
         assert sig.balanced_groups == []
         assert len(sig.block_invariants) > 0
 
-    @pytest.mark.parametrize("n, rank, profile", [(3, 3, None), (3, 4, [2, 1, 1])])
+    @pytest.mark.parametrize(
+        "n, rank, profile", [(3, 3, None), (3, 4, [2, 1, 1]), (4, 10, None)]
+    )
     def test_word_keys_follow_the_groups(self, n, rank, profile):
-        # keys, their order and values, against the per-row key of each group
+        # keys, their order and values, against the per-row key of each
+        # group; rank 10 has two-digit labels
         sig = lq.fingerprint(lq.random_density(n, rank, degeneracy_profile=profile, seed=38))
         assert sig.balanced_groups
         assert list(sig.balanced_words.items()) == [

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luequiv.errors import ParseError
-from luequiv.io import dump_json, load_state, pairs_to_matrix
+from luequiv.io import dump_json, load_state, matrix_to_pairs, pairs_to_matrix
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, math.nan,
                   math.inf, -math.inf, 1e300, 0.1]
@@ -17,6 +17,10 @@ floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIA
 ints = st.integers() | st.sampled_from([2 ** 64, -(10 ** 30), 10 ** 100])
 text = st.text() | st.sampled_from(["", "é", "\x00\x1f\x7f", " ", "\U0001f600", '"\\'])
 complexes = st.builds(complex, floats, floats)
+# a NaN with the sign bit set and a payload other than the default one
+SIGNED_NAN = float(np.uint64(0xFFF8_0000_0000_1234).view(float))
+REPEATS = [0.0, -0.0, SIGNED_NAN, math.nan, math.inf, -math.inf, 0.1]
+POOL = [complex(a, b) for a in REPEATS for b in REPEATS]
 leaves = (
     st.none() | st.booleans() | ints | floats | text | complexes
     | st.builds(np.float64, floats)
@@ -28,6 +32,7 @@ docs = st.recursive(
         | st.lists(kids, max_size=4).map(tuple)
         | st.dictionaries(text, kids, max_size=4)
         | st.dictionaries(text, complexes, max_size=4)  # the one-pass table
+        | st.dictionaries(text, st.sampled_from(POOL), max_size=12)  # repeated values
     ),
     max_leaves=20,
 )
@@ -55,12 +60,29 @@ class TestDumpJson:
         for doc in (table, {"t": table, "u": [table]}):
             assert dump_json(doc) == json.dumps(as_pairs(doc), sort_keys=True, indent=2) + "\n"
 
+    def test_complex_table_with_shared_bit_patterns(self):
+        # each bit pattern is formatted once: 0.0 and -0.0, and the NaNs,
+        # must still keep their own text under every key they appear
+        table = {f"k{k:03d}": POOL[(7 * k) % len(POOL)] for k in range(3 * len(POOL))}
+        assert dump_json(table) == json.dumps(as_pairs(table), sort_keys=True, indent=2) + "\n"
+
     @pytest.mark.parametrize("leaf", [object(), np.int64(1), {1, 2}, b"bytes"])
     def test_unsupported_leaf(self, leaf):
         with pytest.raises(TypeError):
             json.dumps({"k": [leaf]})
         with pytest.raises(TypeError):
             dump_json({"k": [leaf]})
+
+
+class TestMatrixToPairs:
+    def test_transposed_input_keeps_every_bit(self):
+        m = np.array([[1 + 2j, complex(-0.0, SIGNED_NAN), 0.5],
+                      [complex(math.inf, 0.0), complex(-0.0, -0.0), -3j]]).T
+        assert not m.flags.c_contiguous
+        got = matrix_to_pairs(m)
+        want = [[[z.real, z.imag] for z in row] for row in m.tolist()]
+        assert {type(x) for row in got for pair in row for x in pair} == {float}
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
 class TestPairsToMatrix:
