@@ -10,8 +10,10 @@ signatures themselves to one `.npz` file and compares two such files:
     PYTHONPATH=/path/to/other/src python scripts/signature_drift.py after.npz
     python scripts/signature_drift.py --compare before.npz after.npz
 
-The corpus is the lubench `fingerprint` inputs of seeds 1-3 (81 states)
-and the valid states of tests/test_cli.py.  `--compare` prints whether the
+The corpus is the lubench `fingerprint` inputs of seeds 1-3 (81 states),
+the valid states of tests/test_cli.py, and two N=4 states with degenerate
+blocks: profile (3,1,1), and the (2,2,1,1,1) state of
+`scripts/verdict_digest.py`.  `--compare` prints whether the
 keys, their order and the word letters are equal, and the largest change
 of a value, relative to max(1, |v|) and absolute; it exits 1 when the
 keys, order or letters differ.
@@ -50,6 +52,10 @@ def corpus(lq):
             except LuequivError:  # trace2 is not a density matrix
                 continue
             yield f"cli:{name}", rho
+    # block sums at N=4, where the block evaluation's intermediates are largest
+    for profile in ([3, 1, 1], [2, 2, 1, 1, 1]):
+        name = "".join(map(str, profile))
+        yield f"n4-p{name}", lq.random_density(4, sum(profile), profile, seed=19)
 
 
 def entries(sig) -> dict[str, np.ndarray]:

@@ -33,17 +33,17 @@ are not evaluated at all: by trace cyclicity
 so the right word ((i1,j1), ..., (iL,jL)) equals the left word
 ((j1,i2), (j2,i3), ..., (jL,i1)), which is balanced; on the canonical
 words this is a permutation, and the right values are the left ones read
-in that order.  Block sums contract each pattern once, over the gram
-tensors of every block stacked, for both sides: the right-side network is
-the left one on the gram tensor with its four axes reversed.  The
-contraction plan is compiled once per pattern and N.
+in that order.  The block sum of cycle type (c_1, ..., c_m) is
+Tr(T_{c_1} ... T_{c_m}), with one N x N transfer matrix T_c per cycle
+length (see ``_block_network_value``), built once over the gram tensors
+of every block stacked, for both sides: the right-side network is the
+left one on the gram tensor with its four axes reversed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -547,65 +547,6 @@ def _block_gram(stack: np.ndarray) -> np.ndarray:
     return np.einsum("iab,icd->abcd", stack, stack.conj())
 
 
-@functools.lru_cache(maxsize=1024)
-def _block_plan(pattern: tuple[int, ...], dim: int) -> tuple:
-    """Contraction plan of one left-side patterned block sum, compiled once per key.
-
-    The sum is a network of tau copies of the block's N^4 gram tensor.
-    ``optimize=True`` caps intermediates at the largest input (N^4
-    entries), which leaves the 5- and 6-cycles no pairwise contraction and
-    falls back to one loop over all 2*tau indices.  The greedy path under a
-    generous cap contracts pairwise; its largest intermediate is N^6
-    entries.  The path depends only on the subscripts and N, so it is
-    searched once and replayed here into steps ``(positions, equations,
-    shapes)`` over a leading batch axis of gram tensors: a pairwise step
-    reduces each operand with one einsum to (batch, contracted, kept)
-    axes, multiplies the two as stacked matrices and keeps the result's
-    axes in that order, so no step re-validates the path.  The right-side
-    network is the left one read backwards (see ``_side_grams``).
-    """
-    tau = len(pattern)
-    inv = [0] * tau
-    for s, u in enumerate(pattern):
-        inv[u] = s
-    syms = string.ascii_lowercase
-    a = syms[:tau]
-    b = syms[tau : 2 * tau]
-    subs = [a[u] + b[u] + a[inv[u]] + b[(inv[u] - 1) % tau] for u in range(tau)]
-    shape = np.empty((dim,) * 4)
-    path, _ = np.einsum_path(
-        ",".join(subs) + "->", *([shape] * tau), optimize=("greedy", 10**8)
-    )
-    steps = []
-    for positions in path[1:]:
-        positions = tuple(sorted(positions, reverse=True))
-        taken = [subs.pop(p) for p in positions]
-        later = set("".join(subs))
-        if len(taken) != 2:
-            keep = "".join(sorted(set("".join(taken)) & later))
-            eq = ",".join("..." + t for t in taken) + "->..." + keep
-            steps.append((positions, (eq,), None))
-            subs.append(keep)
-            continue
-        # every index occurs twice in the network, so one shared by x and y
-        # is summed here and never survives as a batch axis
-        x, y = taken
-        summed = "".join(sorted(set(x) & set(y) - later))
-        keep_x = "".join(sorted(set(x) & later))
-        keep_y = "".join(sorted(set(y) & later))
-        steps.append((
-            positions,
-            ("..." + x + "->..." + keep_x + summed, "..." + y + "->..." + summed + keep_y),
-            (
-                (dim ** len(keep_x), dim ** len(summed)),
-                (dim ** len(summed), dim ** len(keep_y)),
-                (dim,) * (len(keep_x) + len(keep_y)),
-            ),
-        ))
-        subs.append(keep_x + keep_y)
-    return tuple(steps)
-
-
 def _side_grams(grams: np.ndarray) -> np.ndarray:
     """Left then right gram tensors of a (B, N, N, N, N) stack, as (2B, ...).
 
@@ -616,24 +557,75 @@ def _side_grams(grams: np.ndarray) -> np.ndarray:
     return np.concatenate([grams, grams.transpose(0, 4, 3, 2, 1)])
 
 
-def _block_network_value(grams: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
-    """Contract the left-side patterned block sum as a tensor network.
+def _block_network_value(grams: np.ndarray, ctypes: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Left-side patterned block sums of each cycle type, as (len(ctypes), S).
 
-    ``grams`` stacks (B, N, N, N, N) ``_block_gram`` tensors (right-side
-    sums pass them through ``_side_grams``); the result holds B values.
-    Each equals the literal sum over all index assignments of the word
-    whose dagger slot after position s carries label pattern[(s+1) % tau].
+    ``grams`` stacks S ``_block_gram`` tensors G[a, b, c, d] =
+    sum_i A_i[a, b] conj(A_i[c, d]) (right-side sums pass them through
+    ``_side_grams``); ``ctypes`` holds ascending cycle types.  A value is
+    the literal sum over all index assignments of the word whose dagger
+    slot after position s carries label perm[(s+1) % tau], for the
+    type's ``cycle_type_representatives`` permutation perm.
+
+    In that network slot s is the node G[a_s, b_s, a_t, b_(t-1)], t =
+    perm^-1(s), indices mod tau.  The representative's cycles sit on
+    consecutive slots, so with slots 0..c-1 of one c-cycle local, node u
+    >= 1 is G[a_u, b_u, a_(u-1), b_(u-2)] and node 0 is G[a_0, b_0,
+    a_(c-1), b_(c-2)]: the cycle touches the rest of the network only
+    through b_(-1), the last b of the cycle before it, and its own
+    b_(c-1).  Summed over its other indices it is one N x N transfer matrix
+    T_c[b_(-1), b_(c-1)], the same for every cycle of length c, and the
+    value of type (c_1, ..., c_m) is Tr(T_(c_1) ... T_(c_m)).
+
+    T_1 and T_2 are partial traces of G.  For c >= 3 a ladder contracts
+    nodes 1, 2, ..., c-1 in order into a chain X[b_(-1), b_(k), a_0, b_0,
+    a_k, b_(k-1)]; each further node costs one (N^4 x N^2) @ (N^2 x N^2)
+    product, and node 0 closes the chain into T_c with one more.  A type's
+    product is its prefix's times T_last: one batched N x N product per
+    number of parts (``_product_plan``), then one batched trace.
     """
-    operands = [grams] * len(pattern)
-    for positions, equations, shapes in _block_plan(pattern, grams.shape[1]):
-        taken = [operands.pop(p) for p in positions]
-        if shapes is None:
-            operands.append(np.einsum(equations[0], *taken))
-        else:
-            x = np.einsum(equations[0], taken[0]).reshape(-1, *shapes[0])
-            y = np.einsum(equations[1], taken[1]).reshape(-1, *shapes[1])
-            operands.append((x @ y).reshape(-1, *shapes[2]))
-    return operands[0]
+    size, dim = grams.shape[:2]
+    top = max(ctype[-1] for ctype in ctypes)
+    trans = [np.einsum("sabac->scb", grams)]  # T_1, T_2, ...
+    if top >= 2:
+        trans.append(np.einsum("sxy,syoxi->sio", np.einsum("sabcb->sac", grams), grams))
+    if top >= 3:
+        # node u + 1 as (a_u, b_(u-1)) x (a_(u+1), b_(u+1)), and node 0 as a column
+        step = grams.transpose(0, 3, 4, 1, 2).reshape(size, dim * dim, -1)
+        close = grams.reshape(size, -1, 1)
+        # nodes 1 and 2: rows (a_0, b_(-1), b_1) x a_1, then a_1 x (b_0, a_2, b_2)
+        chain = grams.transpose(0, 3, 4, 2, 1).reshape(size, -1, dim) @ step.reshape(size, dim, -1)
+        chain = np.ascontiguousarray(chain.reshape((size,) + (dim,) * 6).transpose(0, 2, 6, 1, 4, 5, 3))
+        for c in range(3, top + 1):
+            trans.append((chain.reshape(size, dim * dim, -1) @ close).reshape(size, dim, dim))
+            if c < top:  # node c: b_(c-1) passes through, (a_(c-1), b_(c-2)) are summed
+                chain = (chain.reshape(size, -1, dim * dim) @ step).reshape((size,) + (dim,) * 6)
+                chain = np.ascontiguousarray(chain.transpose(0, 1, 6, 3, 4, 5, 2))
+    trans = np.stack(trans)
+    levels, rows = _product_plan(ctypes)
+    prods = np.empty((levels[-1][1], size, dim, dim), dtype=complex)
+    for lo, hi, prefix, last in levels:
+        prods[lo:hi] = trans[last] if prefix is None else prods[prefix] @ trans[last]
+    return np.einsum("ksii->ks", prods[rows])
+
+
+@functools.lru_cache(maxsize=64)
+def _product_plan(ctypes: tuple[tuple[int, ...], ...]) -> tuple:
+    """Rows of the distinct prefixes of the ascending ``ctypes``, and each type's row.
+
+    A level ``(lo, hi, prefix, last)`` puts the m-part prefixes in rows
+    lo..hi, each the product of its (m-1)-part prefix's row (None for
+    m = 1) and transfer matrix ``last`` = c_m - 1.
+    """
+    rows: dict[tuple[int, ...], int] = {}
+    levels = []
+    for m in range(1, max(map(len, ctypes)) + 1):
+        level = sorted({ct[:m] for ct in ctypes if len(ct) >= m})
+        lo = len(rows)
+        rows.update((ct, lo + k) for k, ct in enumerate(level))
+        prefix = np.array([rows[ct[:-1]] for ct in level]) if m > 1 else None
+        levels.append((lo, len(rows), prefix, np.array([ct[-1] - 1 for ct in level])))
+    return tuple(levels), np.array([rows[ct] for ct in ctypes])
 
 
 def block_invariant(
@@ -642,23 +634,25 @@ def block_invariant(
     pattern: tuple[int, ...],
     side: str = "L",
 ) -> complex:
-    """Patterned word sum over one degeneracy block (0-based positions).
+    """Patterned word sum over one degeneracy block (0-based, distinct positions).
 
-    ``pattern`` is a permutation of range(len(pattern)); slot s of the word
-    pairs A_{f(s)} with the dagger of A_{f(pattern[(s+1) % tau])}, and the
-    sum runs over all assignments f of block indices to slots.  The value
-    is invariant under any unitary remix of the block's eigenvectors.
+    ``pattern`` is the ``cycle_type_representatives`` permutation of one
+    cycle type; slot s of the word pairs A_{f(s)} with the dagger of
+    A_{f(pattern[(s+1) % tau])}, and the sum runs over all assignments f
+    of block indices to slots.  The value is invariant under any unitary
+    remix of the block's eigenvectors, and equals the signature's entry
+    bit for bit.
     """
     if side not in SIDES:
         raise ValueError("side must be 'L' or 'R'")
-    tau = len(pattern)
-    if tau < 1 or sorted(pattern) != list(range(tau)):
-        raise PatternMismatch(f"pattern {pattern} is not a permutation of slots")
-    for p in block:
-        if not (0 <= p < sd.rank):
-            raise IndexOutOfRange(f"block position {p} exceeds rank {sd.rank}")
+    reps = {perm: ctype for ctype, perm in cycle_type_representatives(len(pattern))}
+    ctype = reps.get(tuple(pattern))
+    if not ctype:  # not a permutation, not its type's representative, or empty
+        raise PatternMismatch(f"pattern {pattern} is not a cycle type's representative")
+    if not block or len(set(block)) != len(block) or not all(0 <= p < sd.rank for p in block):
+        raise IndexOutOfRange(f"block {block} is not distinct positions below rank {sd.rank}")
     grams = _side_grams(_block_gram(np.stack([sd.coeff_matrices[p] for p in block]))[None])
-    return complex(_block_network_value(grams[SIDES.index(side)][None], tuple(pattern))[0])
+    return complex(_block_network_value(grams, (ctype,))[0, SIDES.index(side)])
 
 
 # ---------------------------------------------------------------------------
@@ -765,16 +759,16 @@ def fingerprint_from_decomposition(
     block_vals: dict[str, complex] = {}
     multi = [block for block in blocks if len(block) > 1]
     if multi:
-        # every pattern is contracted once, over all blocks and both sides
+        # one call for every cycle type, over all blocks and both sides
         grams = _side_grams(np.stack([
             _block_gram(np.stack([sd.coeff_matrices[p] for p in block])) for block in multi
         ]))
-        patterns = [ct for tau in range(1, cap + 1) for ct in cycle_type_representatives(tau)]
-        values = [_block_network_value(grams, perm).tolist() for _, perm in patterns]
+        ctypes = tuple(ct for tau in range(1, cap + 1) for ct, _ in cycle_type_representatives(tau))
+        values = _block_network_value(grams, ctypes).tolist() if ctypes else []
         for b, block in enumerate(multi):
             for s, side in enumerate(SIDES):
-                for (ctype, perm), per_gram in zip(patterns, values):
-                    key = _block_key(side, block, len(perm), ctype)
+                for ctype, per_gram in zip(ctypes, values):
+                    key = _block_key(side, block, sum(ctype), ctype)
                     block_vals[key] = per_gram[s * len(multi) + b]
     return InvariantSignature(
         dim_local=sd.dim_local,

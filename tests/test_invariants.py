@@ -15,7 +15,6 @@ from luequiv.invariants import (
     Word,
     _batch_word_values,
     _block_key,
-    _block_plan,
     _canonical_letter_arrays,
     _right_to_left_index,
     _word_key,
@@ -558,17 +557,20 @@ class TestBlockInvariant:
         assert list(sig.block_invariants) == keys
 
     def test_remix_invariance(self):
-        sd = lq.spectral_decompose(
-            lq.random_density(2, 3, degeneracy_profile=[2, 1], seed=23)
-        )
-        block = next(b for b in sd.blocks if len(b) == 2)
-        remixed = remix_block(sd, block, lq.haar_unitary(2, 24))
-        for tau in (1, 2, 3):
-            for _, perm in cycle_type_representatives(tau):
-                for side in ("L", "R"):
-                    a = lq.block_invariant(sd, block, perm, side)
-                    b = lq.block_invariant(remixed, block, perm, side)
-                    assert abs(a - b) < 1e-8 * max(1.0, abs(a))
+        # a 2-fold block at N=2 up to tau 3, and a 3-fold block at N=3 up to
+        # tau 6, through the ladder
+        for n, profile, cap in [(2, [2, 1], 3), (3, [3, 1], 6)]:
+            sd = lq.spectral_decompose(
+                lq.random_density(n, sum(profile), degeneracy_profile=profile, seed=23)
+            )
+            block = next(b for b in sd.blocks if len(b) == profile[0])
+            remixed = remix_block(sd, block, lq.haar_unitary(profile[0], 24))
+            for tau in range(1, cap + 1):
+                for _, perm in cycle_type_representatives(tau):
+                    for side in ("L", "R"):
+                        a = lq.block_invariant(sd, block, perm, side)
+                        b = lq.block_invariant(remixed, block, perm, side)
+                        assert abs(a - b) < 1e-8 * max(1.0, abs(a))
 
     def test_phase_invariance(self):
         sd = lq.spectral_decompose(lq.random_density(2, 4, seed=25))
@@ -583,10 +585,51 @@ class TestBlockInvariant:
 
     def test_pattern_validation(self):
         sd = lq.spectral_decompose(lq.random_density(2, 2, seed=26))
-        with pytest.raises(PatternMismatch):
-            lq.block_invariant(sd, (0,), (0, 0), "L")
-        with pytest.raises(IndexOutOfRange):
-            lq.block_invariant(sd, (5,), (0,), "L")
+        for pattern in [(0, 0), ()]:
+            with pytest.raises(PatternMismatch):
+                lq.block_invariant(sd, (0,), pattern, "L")
+        # only a type's representative: (0, 2, 1) is that of (1, 2), while
+        # (1, 0, 2), (2, 0, 1) and (1, 2, 0, 3) realise (1, 2), (3,) and
+        # (1, 3) on other slots
+        assert dict(cycle_type_representatives(3))[(1, 2)] == (0, 2, 1)
+        lq.block_invariant(sd, (0, 1), (0, 2, 1), "L")
+        for pattern in [(1, 0, 2), (2, 0, 1), (1, 2, 0, 3)]:
+            with pytest.raises(PatternMismatch):
+                lq.block_invariant(sd, (0, 1), pattern, "L")
+        # out of range, empty, or a repeated position
+        for block in [(5,), (), (0, 0)]:
+            with pytest.raises(IndexOutOfRange):
+                lq.block_invariant(sd, block, (0,), "L")
+
+    @pytest.mark.parametrize("n, profile, cap", [(3, [3, 1], 6), (4, [2, 1, 1], 4)])
+    def test_ladder_matches_brute_force(self, n, profile, cap):
+        # every cycle type up to the cap, both sides; the 3- to 6-cycles
+        # come from the transfer-matrix ladder
+        sd = lq.spectral_decompose(
+            lq.random_density(n, sum(profile), degeneracy_profile=profile, seed=30)
+        )
+        block = next(b for b in sd.blocks if len(b) == profile[0])
+        for tau in range(1, cap + 1):
+            for _, perm in cycle_type_representatives(tau):
+                for side in ("L", "R"):
+                    got = lq.block_invariant(sd, block, perm, side)
+                    want = brute_block_sum(sd, block, perm, side)
+                    assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+
+    def test_matches_signature_bits(self):
+        # block_invariant and the signature share one evaluation
+        sd = lq.spectral_decompose(lq.random_density(3, 6, [3, 3], seed=31))
+        sig = fingerprint_from_decomposition(sd, np.ones(9))
+        multi = [b for b in sd.blocks if len(b) > 1]
+        assert len(multi) == 2 and sig.tau_block == 6
+        for block in multi:
+            for side in ("L", "R"):
+                for tau in range(1, 7):
+                    for ctype, perm in cycle_type_representatives(tau):
+                        got = lq.block_invariant(sd, block, perm, side)
+                        want = sig.block_invariants[_block_key(side, block, tau, ctype)]
+                        assert got.real.hex() == want.real.hex()
+                        assert got.imag.hex() == want.imag.hex()
 
 
 class TestFingerprint:
@@ -658,25 +701,21 @@ class TestFingerprint:
         assert a.block_invariants == b.block_invariants
         np.testing.assert_array_equal(a.power_traces, b.power_traces)
 
-    def test_block_paths_searched_once(self, monkeypatch):
-        # one greedy path search per (pattern, N), replayed afterwards; the
-        # right side runs the left plan, and the 3-fold and 4-fold blocks
-        # share every plan
-        searches = []
-        search = np.einsum_path
+    def test_block_sums_in_one_call(self, monkeypatch):
+        # one call covers every block, both sides and every cycle type
+        calls = []
+        network = invariants._block_network_value
 
-        def counted(expr, *operands, **kwargs):
-            searches.append((expr, operands[0].shape))
-            return search(expr, *operands, **kwargs)
+        def counted(grams, ctypes):
+            calls.append((grams.shape, ctypes))
+            return network(grams, ctypes)
 
-        _block_plan.cache_clear()
-        monkeypatch.setattr(np, "einsum_path", counted)
+        monkeypatch.setattr(invariants, "_block_network_value", counted)
         rho = lq.random_density(3, 7, degeneracy_profile=[3, 4], seed=37)
-        first = lq.fingerprint(rho)
-        for _ in range(2):
-            assert lq.fingerprint(rho).block_invariants == first.block_invariants
-        patterns = sum(len(cycle_type_representatives(tau)) for tau in range(1, 7))
-        assert len(searches) == len(set(searches)) == patterns
+        sig = lq.fingerprint(rho)
+        ctypes = tuple(ct for tau in range(1, 7) for ct, _ in cycle_type_representatives(tau))
+        assert calls == [((4, 3, 3, 3, 3), ctypes)]
+        assert len(sig.block_invariants) == 4 * len(ctypes)
 
     def test_bell_word_value(self):
         sig = lq.fingerprint(bell_density())
