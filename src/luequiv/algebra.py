@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import EPS_DET, EPS_INDEP, EPS_SPAN
 from .errors import GramSingular, NotInSpan
 from .invariants import Word
 from .linalg import frob
@@ -65,8 +65,7 @@ def generator_matrices(sd: SpectralDecomposition, side: str) -> tuple[list[Word]
 class _Screen:
     """Incremental orthonormal frame, one row per admitted element."""
 
-    def __init__(self, size: int, eps_indep: float):
-        self.eps = eps_indep
+    def __init__(self, size: int):
         self.frame = np.empty((size, size), dtype=complex)
         self.count = 0
 
@@ -84,19 +83,17 @@ class _Screen:
         for _ in range(2):  # re-orthogonalize for stability
             r = r - (q.conj() @ r) @ q
         res = float(np.linalg.norm(r))
-        if res <= self.eps * norm:
+        if res <= EPS_INDEP * norm:
             return False
         self.frame[self.count] = r / res
         self.count += 1
         return True
 
 
-def _closure(
-    words: list[Word], gens: np.ndarray, eps_indep: float
-) -> tuple[list[Word], np.ndarray]:
+def _closure(words: list[Word], gens: np.ndarray) -> tuple[list[Word], np.ndarray]:
     """Breadth-first closure; stops once the frame spans all N x N matrices."""
     n = gens.shape[-1]
-    screen = _Screen(n * n, eps_indep)
+    screen = _Screen(n * n)
     admitted: list[Word] = []
     for w, m in zip(words, gens):
         if screen.full:
@@ -123,12 +120,11 @@ def _finish_basis(
     dim_local: int,
     words: list[Word],
     elements: np.ndarray | list[np.ndarray],
-    eps_det: float,
 ) -> AlgebraBasis:
     e = np.asarray(elements, dtype=complex)
     gram = np.tensordot(e, e, axes=([1, 2], [2, 1]))  # Tr(e_i e_j)
     det = complex(np.linalg.det(gram))
-    if abs(det) <= eps_det:
+    if abs(det) <= EPS_DET:
         raise GramSingular(f"|det Gram| = {abs(det):.3e} is below the floor")
     gram_inv = np.linalg.inv(gram)
     duals = np.tensordot(gram_inv, e, axes=1)
@@ -145,14 +141,12 @@ def _finish_basis(
     )
 
 
-def build_algebra(
-    sd: SpectralDecomposition, side: str, tol: Tolerances = DEFAULT_TOL
-) -> AlgebraBasis:
+def build_algebra(sd: SpectralDecomposition, side: str) -> AlgebraBasis:
     """Breadth-first closure of the word algebra with a canonical basis."""
     if side not in ("L", "R"):
         raise ValueError("side must be 'L' or 'R'")
-    words, elements = _closure(*generator_matrices(sd, side), tol.eps_indep)
-    return _finish_basis(side, sd.dim_local, words, elements, tol.eps_det)
+    words, elements = _closure(*generator_matrices(sd, side))
+    return _finish_basis(side, sd.dim_local, words, elements)
 
 
 def gram_det(basis: AlgebraBasis) -> float:
@@ -160,12 +154,10 @@ def gram_det(basis: AlgebraBasis) -> float:
     return float(abs(np.linalg.det(basis.gram)))
 
 
-def express_in_basis(
-    basis: AlgebraBasis, x: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def express_in_basis(basis: AlgebraBasis, x: np.ndarray) -> np.ndarray:
     """Coefficients of x in the basis via the dual elements."""
     coeffs = np.tensordot(np.asarray(basis.duals), x, axes=([1, 2], [1, 0]))  # Tr(x d_k)
     recon = np.tensordot(coeffs, np.asarray(basis.elements), axes=1)
-    if frob(x - recon) > tol.eps_span * max(1.0, frob(x)):
+    if frob(x - recon) > EPS_SPAN * max(1.0, frob(x)):
         raise NotInSpan(f"residual {frob(x - recon):.3e} exceeds the span tolerance")
     return coeffs

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, EPS_ORACLE, Tolerances
 from .decider import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, certify, decide
 from .errors import (
     DimensionMismatch,
@@ -92,17 +92,21 @@ _FLAGS = {
 
 
 def _tolerances(args) -> Tolerances:
-    """DEFAULT_TOL with the fields of the tolerance flags given on the line."""
+    """DEFAULT_TOL with the fields of the tolerance flags given on the line;
+    an out-of-range value is a usage error."""
     overrides = {
         field: getattr(args, field)
         for field, _ in _FLAGS.values()
         if field and getattr(args, field, None) is not None
     }
-    return DEFAULT_TOL.replace(**overrides)
+    try:
+        return DEFAULT_TOL.replace(**overrides)
+    except ValueError as exc:
+        build_parser().error(str(exc))
 
 
 def _signature_doc(path: str, tol: Tolerances, validate: bool) -> dict:
-    rho, label = load_state(path, tol, validate=validate)
+    rho, label = load_state(path, validate=validate)
     sig = fingerprint(rho, tol)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -123,7 +127,7 @@ def _signature_doc(path: str, tol: Tolerances, validate: bool) -> dict:
 
 
 def cmd_validate(args) -> int:
-    rho, label = load_state(args.state, DEFAULT_TOL, validate=True)
+    rho, label = load_state(args.state)
     print(f"valid density matrix: N={rho.dim_local}" + (f" label={label!r}" if label else ""))
     return EXIT_OK
 
@@ -136,8 +140,8 @@ def cmd_fingerprint(args) -> int:
 
 def cmd_compare(args) -> int:
     tol = _tolerances(args)
-    rho_a, label_a = load_state(args.state_a, tol, validate=not args.no_validate)
-    rho_b, label_b = load_state(args.state_b, tol, validate=not args.no_validate)
+    rho_a, label_a = load_state(args.state_a, validate=not args.no_validate)
+    rho_b, label_b = load_state(args.state_b, validate=not args.no_validate)
     verdict = decide(rho_a, rho_b, tol)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -187,12 +191,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    tol = _tolerances(args)
-    rho, label = load_state(args.state, tol, validate=not args.no_validate)
+    rho, label = load_state(args.state, validate=not args.no_validate)
     rng = np.random.default_rng(args.seed)
     u1 = haar_unitary(rho.dim_local, rng)
     u2 = haar_unitary(rho.dim_local, rng)
-    out = apply_local_unitary(rho, u1, u2, tol)
+    out = apply_local_unitary(rho, u1, u2)
     out_label = f"{label or 'state'} orbit seed={args.seed}"
     save_state(args.out, out.matrix, out.dim_local, label=out_label)
     doc = {
@@ -210,13 +213,12 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    tol = _tolerances(args)
-    rho_a, _ = load_state(args.state_a, tol, validate=not args.no_validate)
-    rho_b, _ = load_state(args.state_b, tol, validate=not args.no_validate)
+    rho_a, _ = load_state(args.state_a, validate=not args.no_validate)
+    rho_b, _ = load_state(args.state_b, validate=not args.no_validate)
     if rho_a.dim_local > 3:
         print("warning: the oracle is intended for N <= 3", file=sys.stderr)
     result = brute_force_oracle(
-        rho_a, rho_b, restarts=args.restarts, iters=args.iters, seed=args.seed, tol=tol
+        rho_a, rho_b, restarts=args.restarts, iters=args.iters, seed=args.seed
     )
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -228,7 +230,7 @@ def cmd_oracle(args) -> int:
         "restarts": args.restarts,
         "iters": args.iters,
         "seed": args.seed,
-        "eps_oracle": tol.eps_oracle,
+        "eps_oracle": EPS_ORACLE,
         "u1": matrix_to_pairs(result.best_pair[0]),
         "u2": matrix_to_pairs(result.best_pair[1]),
     }
@@ -245,9 +247,9 @@ def cmd_certify(args) -> int:
         w = pairs_to_matrix(cert["w"])
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"{args.report}: no readable certificate ({exc})") from exc
-    rho_a, _ = load_state(args.state_a, tol, validate=not args.no_validate)
-    rho_b, _ = load_state(args.state_b, tol, validate=not args.no_validate)
-    residual = certify(rho_a, rho_b, u, w, tol)
+    rho_a, _ = load_state(args.state_a, validate=not args.no_validate)
+    rho_b, _ = load_state(args.state_b, validate=not args.no_validate)
+    residual = certify(rho_a, rho_b, u, w)
     ok = residual <= tol.eps_cert
     sys.stdout.write(dump_json({
         "kind": "certify",

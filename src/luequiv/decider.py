@@ -77,7 +77,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, EPS_DET, EPS_NULL, Tolerances
 from .errors import DimensionMismatch, LuequivError
 from .invariants import (
     Word,
@@ -132,13 +132,7 @@ class EquivalenceVerdict:
     details: dict = field(default_factory=dict)
 
 
-def certify(
-    rho: DensityMatrix,
-    rho2: DensityMatrix,
-    u: np.ndarray,
-    w: np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def certify(rho: DensityMatrix, rho2: DensityMatrix, u: np.ndarray, w: np.ndarray) -> float:
     """Residual ||rho2 - (u^dag (x) (w*)^dag) rho (u (x) w*)||_F.
 
     This check is gauge-free: per-eigenvector phases and intra-block
@@ -148,15 +142,15 @@ def certify(
     n = rho.dim_local
     if rho2.dim_local != n:
         raise DimensionMismatch("states live on different local dimensions")
-    u = _check_unitary(u, n, tol.eps_unitary, "u")
-    w = _check_unitary(w, n, tol.eps_unitary, "w")
+    u = _check_unitary(u, n, "u")
+    w = _check_unitary(w, n, "w")
     v = np.kron(dagger(u), w.T)  # u^dagger (x) (w*)^dagger
     return frob(rho2.matrix - v @ rho.matrix @ dagger(v))
 
 
-def _nonsingular(m: np.ndarray, eps_det: float) -> bool:
+def _nonsingular(m: np.ndarray) -> bool:
     s = np.linalg.svd(m, compute_uv=False)
-    return s[0] > 0 and s[-1] > eps_det * max(1.0, s[0])
+    return s[0] > 0 and s[-1] > EPS_DET * max(1.0, s[0])
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +252,7 @@ def _block_sums(sd: SpectralDecomposition, blocks, side: str) -> np.ndarray:
     return np.add.reduceat(a @ a.conj().transpose(0, 2, 1), [b[0] for b in blocks], axis=0)
 
 
-def _intertwiners(ps: np.ndarray, qs: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _intertwiners(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """Orthonormal basis (vec rows) of {Z : P_b Z = Z Q_b for every b}.
 
     The rows of P Z - Z Q on the row-major vec of Z are P (x) 1 - 1 (x) Q^T.
@@ -270,7 +264,7 @@ def _intertwiners(ps: np.ndarray, qs: np.ndarray, tol: Tolerances) -> np.ndarray
     eye = np.eye(n)
     rows = np.einsum("bik,jl->bijkl", ps, eye) - np.einsum("ik,blj->bijkl", eye, qs)
     scale = np.max(np.linalg.norm(ps, axis=(1, 2)) + np.linalg.norm(qs, axis=(1, 2)))
-    return nullspace(rows.reshape(-1, n * n)).basis(tol.eps_null, scale)
+    return nullspace(rows.reshape(-1, n * n)).basis(EPS_NULL, scale)
 
 
 def _product_system(rho1: DensityMatrix, rho2: DensityMatrix, xs, ys) -> np.ndarray:
@@ -326,10 +320,10 @@ def _search_pair(
         if nx < 1e-9 or ny < 1e-9:
             continue
         x, y = x / nx, y / ny
-        if not (_nonsingular(x, tol.eps_det) and _nonsingular(y, tol.eps_det)):
+        if not (_nonsingular(x) and _nonsingular(y)):
             continue
         u, w = polar_decompose(x), polar_decompose(y)
-        residual = certify(rho1, rho2, u, w, tol)
+        residual = certify(rho1, rho2, u, w)
         if residual <= tol.eps_cert:
             return Certificate(u, w, residual)
     return None
@@ -346,12 +340,12 @@ def _attempt_certificate(
     n = rho1.dim_local
     nn = n * n
     eye = np.eye(n, dtype=complex)
-    residual = certify(rho1, rho2, eye, eye, tol)
+    residual = certify(rho1, rho2, eye, eye)
     details: dict = {"attempts": [{"mode": "identity", "success": residual <= tol.eps_cert}]}
     if residual <= tol.eps_cert:
         return Certificate(eye, eye, residual), details
     xs, ys = (
-        _intertwiners(_block_sums(sd1, blocks, side), _block_sums(sd2, blocks, side), tol)
+        _intertwiners(_block_sums(sd1, blocks, side), _block_sums(sd2, blocks, side))
         for side in ("L", "R")
     )
     da, db = len(xs), len(ys)
@@ -360,7 +354,7 @@ def _attempt_certificate(
     def product():
         # as for the families: a system of rounding noise leaves every T free
         scale = frob(rho1.matrix) + frob(rho2.matrix)
-        vecs = nullspace(_product_system(rho1, rho2, xs, ys)).basis(tol.eps_null, scale)
+        vecs = nullspace(_product_system(rho1, rho2, xs, ys)).basis(EPS_NULL, scale)
 
         def split(c):
             p, _, qh = np.linalg.svd(c.reshape(da, db))
@@ -371,7 +365,7 @@ def _attempt_certificate(
     def coupled():
         coeffs2, details["alignment"] = _align_phases(sd1, sd2, singles, tol)
         null = nullspace(_certificate_system(sd1, coeffs2, singles))
-        vecs = null.basis(tol.eps_null)
+        vecs = null.basis(EPS_NULL)
         if vecs.shape[0] == 0:
             # inconsistent rows (phases left free): try the least-violated direction
             vecs = null.vectors[-1:]
@@ -491,8 +485,9 @@ def decide(
         blocks = _joint_blocks(sd1, sd2)
         cap = tol.effective_tau_cap(rho1.dim_local)
         for rung, tau in enumerate(sorted({min(2, cap), min(3, cap), cap})):
-            sig1 = fingerprint_from_decomposition(sd1, js1, tol, blocks=blocks, tau_cap=tau)
-            sig2 = fingerprint_from_decomposition(sd2, js2, tol, blocks=blocks, tau_cap=tau)
+            rung_tol = tol.replace(tau_cap=tau)
+            sig1 = fingerprint_from_decomposition(sd1, js1, rung_tol, blocks=blocks)
+            sig2 = fingerprint_from_decomposition(sd2, js2, rung_tol, blocks=blocks)
             mismatch = compare_signatures(sig1, sig2, tol.eps_inv)
             if mismatch is not None:
                 break

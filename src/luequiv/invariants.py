@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, WORD_EVAL_LIMIT, Tolerances
 from .errors import IndexOutOfRange, PatternMismatch
 from .states import DensityMatrix, SpectralDecomposition, spectral_decompose
 
@@ -707,12 +707,12 @@ class InvariantSignature:
         return self._balanced_cache
 
 
-def _balanced_budget_length(n_letters: int, cap: int, limit: int) -> int:
+def _balanced_budget_length(n_letters: int, cap: int) -> int:
     """Longest word length whose cumulative two-sided count fits the budget."""
     total, best = 0, 0
     for length in range(1, cap + 1):
         total += 2 * count_balanced_words(n_letters, length)
-        if total > limit:
+        if total > WORD_EVAL_LIMIT:
             break
         best = length
     return best
@@ -730,17 +730,17 @@ def fingerprint_from_decomposition(
     power: np.ndarray,
     tol: Tolerances = DEFAULT_TOL,
     blocks: tuple[tuple[int, ...], ...] | None = None,
-    tau_cap: int | None = None,
 ) -> InvariantSignature:
-    """Assemble the signature from an existing decomposition."""
+    """Assemble the signature from an existing decomposition, with words up
+    to length ``tol.effective_tau_cap``."""
     if blocks is None:
         blocks = sd.blocks
-    cap = tau_cap if tau_cap is not None else tol.effective_tau_cap(sd.dim_local)
+    cap = tol.effective_tau_cap(sd.dim_local)
     singles = sorted(b[0] for b in blocks if len(b) == 1)
     groups: list[WordGroup] = []
     tau_bal = 0
     if singles:
-        tau_bal = _balanced_budget_length(len(singles), cap, tol.word_eval_limit)
+        tau_bal = _balanced_budget_length(len(singles), cap)
         sub = np.stack([sd.coeff_matrices[p] for p in singles])
         # 1-based original indices, in the narrowest type that holds the rank
         orig = (np.array(singles) + 1).astype(np.min_scalar_type(sd.rank))

@@ -37,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import ParseError
 from .states import DensityMatrix, validate_density
 
@@ -154,9 +153,7 @@ def save_state(path, matrix, local_dim: int, label: str | None = None) -> None:
     Path(path).write_text(dump_json(doc))
 
 
-def load_state(
-    path, tol: Tolerances = DEFAULT_TOL, validate: bool = True
-) -> tuple[DensityMatrix, str | None]:
+def load_state(path, validate: bool = True) -> tuple[DensityMatrix, str | None]:
     """Parse a state file; validation errors propagate as typed exceptions."""
     try:
         doc = json.loads(Path(path).read_text())
@@ -176,7 +173,7 @@ def load_state(
         raise ParseError(f"{path}: local_dim must be an integer of at least 1, got {n!r}")
     label = doc.get("label")
     if validate:
-        return validate_density(matrix, n, tol), label
+        return validate_density(matrix, n), label
     if matrix.shape != (n * n, n * n):
         raise ParseError(f"{path}: matrix shape {matrix.shape} does not match local_dim {n}")
     return DensityMatrix(n, matrix), label

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .config import EPS_HERM
 from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
 
@@ -41,10 +41,10 @@ class HermitianEig(NamedTuple):
     eigenvectors: np.ndarray  # unitary, columns match eigenvalues
 
 
-def hermitian_eigendecompose(m, eps_herm: float = DEFAULT_TOL.eps_herm) -> HermitianEig:
+def hermitian_eigendecompose(m) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     a = ensure_matrix(m)
-    if frob(a - dagger(a)) > eps_herm * max(1.0, frob(a)):
+    if frob(a - dagger(a)) > EPS_HERM * max(1.0, frob(a)):
         raise NotHermitian(
             f"||M - M^dagger||_F = {frob(a - dagger(a)):.3e} exceeds tolerance"
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, EPS_HERM, EPS_PSD, EPS_RANK, EPS_TRACE, EPS_UNITARY, Tolerances
 from .errors import (
     DimensionMismatch,
     NotHermitian,
@@ -63,20 +63,20 @@ class SpectralDecomposition:
         return len(self.coeff_matrices)
 
 
-def validate_density(matrix, n: int, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def validate_density(matrix, n: int) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; never repairs input."""
     m = ensure_matrix(matrix)
     if n < 1 or m.shape[0] != n * n:
         raise DimensionMismatch(
             f"matrix is {m.shape[0]}x{m.shape[0]}, expected {n * n}x{n * n} for N={n}"
         )
-    if frob(m - dagger(m)) > tol.eps_herm * max(1.0, frob(m)):
+    if frob(m - dagger(m)) > EPS_HERM * max(1.0, frob(m)):
         raise NotHermitian("density matrix is not Hermitian within tolerance")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol.eps_trace:
+    if abs(tr - 1.0) > EPS_TRACE:
         raise NotUnitTrace(f"trace is {tr.real:.12g}{tr.imag:+.3g}j, expected 1")
     lo = float(np.linalg.eigvalsh(m)[0])
-    if lo < -tol.eps_psd:
+    if lo < -EPS_PSD:
         raise NotPositiveSemidefinite(f"smallest eigenvalue {lo:.3e} is negative")
     return DensityMatrix(n, _readonly(m))
 
@@ -101,8 +101,8 @@ def _degeneracy_blocks(lams: np.ndarray, n: int, eps_deg: float) -> tuple[tuple[
 def spectral_decompose(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecompose a density matrix and reshape eigenvectors to A_i."""
     n = rho.dim_local
-    eig = hermitian_eigendecompose(rho.matrix, tol.eps_herm)
-    keep = eig.eigenvalues > tol.eps_rank
+    eig = hermitian_eigendecompose(rho.matrix)
+    keep = eig.eigenvalues > EPS_RANK
     lams = eig.eigenvalues[keep]
     vecs = eig.eigenvectors[:, keep]
     coeffs = tuple(_readonly(vecs[:, i].reshape(n, n)) for i in range(vecs.shape[1]))
@@ -144,24 +144,22 @@ def decomposition_from_coeffs(
     )
 
 
-def _check_unitary(u: np.ndarray, n: int, eps: float, name: str) -> np.ndarray:
+def _check_unitary(u: np.ndarray, n: int, name: str) -> np.ndarray:
     m = ensure_matrix(u)
     if m.shape[0] != n:
         raise DimensionMismatch(f"{name} must be {n}x{n}")
-    if frob(m @ dagger(m) - np.eye(n)) > eps * max(1.0, frob(m)):
+    if frob(m @ dagger(m) - np.eye(n)) > EPS_UNITARY * max(1.0, frob(m)):
         raise NotUnitary(f"{name} is not unitary within tolerance")
     return m
 
 
-def apply_local_unitary(
-    rho: DensityMatrix, u1, u2, tol: Tolerances = DEFAULT_TOL
-) -> DensityMatrix:
+def apply_local_unitary(rho: DensityMatrix, u1, u2) -> DensityMatrix:
     """Conjugate by U1 (x) U2 and re-validate the result."""
     n = rho.dim_local
-    m1 = _check_unitary(u1, n, tol.eps_unitary, "U1")
-    m2 = _check_unitary(u2, n, tol.eps_unitary, "U2")
+    m1 = _check_unitary(u1, n, "U1")
+    m2 = _check_unitary(u2, n, "U2")
     v = np.kron(m1, m2)
-    return validate_density(v @ rho.matrix @ dagger(v), n, tol)
+    return validate_density(v @ rho.matrix @ dagger(v), n)
 
 
 def transform_decomposition(sd: SpectralDecomposition, u1, u2) -> SpectralDecomposition:

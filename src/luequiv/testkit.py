@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import EPS_ORACLE
 from .errors import InvalidProfile
 from .linalg import dagger
 from .states import DensityMatrix, validate_density
@@ -44,7 +44,6 @@ def random_density(
     rank: int,
     degeneracy_profile: list[int] | None = None,
     seed=0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> DensityMatrix:
     """Random density matrix with prescribed rank and degeneracy blocks.
 
@@ -89,7 +88,7 @@ def random_density(
     basis = haar_unitary(nn, rng)[:, :rank]
     rho = (basis * lams) @ dagger(basis)
     rho = (rho + dagger(rho)) / 2
-    return validate_density(rho, n, tol)
+    return validate_density(rho, n)
 
 
 def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
@@ -124,7 +123,6 @@ def brute_force_oracle(
     restarts: int = 20,
     iters: int = 2000,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> OracleResult:
     """Minimize ||rho2 - (e^{iH1} (x) e^{iH2}) rho (.)^dag||_F^2 over
     Hermitian generators with random restarts; restart 0 starts at the
@@ -160,7 +158,7 @@ def brute_force_oracle(
         if res.fun < best:
             best = float(res.fun)
             best_p = np.array(res.x)
-        if np.sqrt(max(best, 0.0)) <= tol.eps_oracle:
+        if np.sqrt(max(best, 0.0)) <= EPS_ORACLE:
             break
     u1 = exp_i_hermitian(_hermitian_from_params(best_p[:nn], n))
     u2 = exp_i_hermitian(_hermitian_from_params(best_p[nn:], n))
@@ -169,5 +167,5 @@ def brute_force_oracle(
         best_distance=dist,
         best_pair=(u1, u2),
         restarts_used=used,
-        converged=dist <= tol.eps_oracle,
+        converged=dist <= EPS_ORACLE,
     )

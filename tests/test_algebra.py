@@ -104,14 +104,14 @@ class TestGramDet:
         ]
         elements = [p / np.sqrt(2) for p in paulis]
         words = [Word("L", ((1, 1),) * (k + 1)) for k in range(4)]
-        basis = _finish_basis("L", 2, words, elements, 1e-12)
+        basis = _finish_basis("L", 2, words, elements)
         assert abs(lq.gram_det(basis) - 1.0) < 1e-12
 
     def test_dependent_elements_raise(self):
         elements = [unit(0, 0), 2.0 * unit(0, 0)]
         words = [Word("L", ((1, 1),) * (k + 1)) for k in range(2)]
         with pytest.raises(GramSingular):
-            _finish_basis("L", 2, words, elements, 1e-12)
+            _finish_basis("L", 2, words, elements)
 
 
 class TestExpressInBasis:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import luequiv as lq
-from luequiv.cli import build_parser, main
+from luequiv.cli import _FLAGS, build_parser, main
 from luequiv.io import save_state
 
 from conftest import bell_density
@@ -269,13 +270,32 @@ class TestFlags:
     def test_tolerance_flags_reach_the_computation(self, states, tmp_path):
         doc = json.loads(run_cli("fingerprint", states["bell"], "--tau-cap", 1).stdout)
         assert (doc["tau_balanced"], doc["tolerances"]["tau_cap"]) == (1, 1)
-        assert len(doc["tolerances"]) == 15
+        assert len(doc["tolerances"]) == 4
         report = tmp_path / "report.json"
         assert run_cli("compare", states["bell"], states["bell"], "--report", report).returncode == 0
         # the identity certificate leaves ||bell - 1/4||_F = sqrt(3)/2 between these
         assert run_cli("certify", report, states["bell"], states["mixed"]).returncode == 1
         res = run_cli("certify", report, states["bell"], states["mixed"], "--eps-cert", 0.9)
         assert res.returncode == 0 and json.loads(res.stdout)["eps_cert"] == 0.9
+
+    def test_every_tolerance_field_has_a_flag(self):
+        # a field no flag sets has one value in use, and belongs in a constant
+        set_by_flags = {field for field, _ in _FLAGS.values() if field}
+        assert {f.name for f in dataclasses.fields(lq.Tolerances)} == set_by_flags
+
+    @pytest.mark.parametrize(
+        "second, flag, field", [("a", "--eps-inv=nan", "eps_inv"), ("b", "--eps-deg=-1", "eps_deg")]
+    )
+    def test_out_of_range_tolerance_is_a_usage_error(self, tmp_path, second, flag, field):
+        # once a state unequal to itself (nan), once a math domain error in decide
+        a = lq.random_density(3, 4, [2, 1, 1], seed=5)
+        b = lq.apply_local_unitary(a, lq.haar_unitary(3, 1), lq.haar_unitary(3, 2))
+        save_state(tmp_path / "a.json", a.matrix, 3)
+        save_state(tmp_path / "b.json", b.matrix, 3)
+        res = run_cli("compare", tmp_path / "a.json", tmp_path / f"{second}.json", flag)
+        assert res.returncode == 3 and res.stdout == ""
+        assert "Traceback" not in res.stderr and field in res.stderr
+        assert run_cli("compare", tmp_path / "a.json", tmp_path / f"{second}.json").returncode == 0
 
 
 class TestParserReuse:

@@ -5,7 +5,7 @@ import pytest
 
 import luequiv as lq
 import luequiv.decider as decider
-from luequiv.config import DEFAULT_TOL
+from luequiv.config import DEFAULT_TOL, EPS_UNITARY
 from luequiv.decider import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT
 from luequiv.errors import DimensionMismatch, NotUnitary
 from luequiv.invariants import Word, values_close
@@ -47,9 +47,10 @@ class TestCertify:
     def test_unitarity_check_reads_the_given_tolerance(self):
         rho = lq.random_density(2, 2, seed=93)
         u = np.eye(2) + 1e-6 * np.array([[1, 0], [0, 0]])  # 1e-6 off unitary
-        assert lq.certify(rho, rho, u, np.eye(2), DEFAULT_TOL.replace(eps_unitary=1e-3)) < 1e-5
         with pytest.raises(NotUnitary):
             lq.certify(rho, rho, u, np.eye(2))
+        close = np.eye(2) + 0.1 * EPS_UNITARY * np.array([[1, 0], [0, 0]])
+        assert lq.certify(rho, rho, close, np.eye(2)) < 1e-9
 
 
 def _word_net(word: Word) -> dict[int, int]:
@@ -478,7 +479,7 @@ class TestCertificateSystem:
 def _intertwiners(sd1, sd2, side):
     """Intertwiners of the side's local families over the blocks of sd1."""
     sums = [decider._block_sums(sd, sd1.blocks, side) for sd in (sd1, sd2)]
-    return decider._intertwiners(*sums, DEFAULT_TOL)
+    return decider._intertwiners(*sums)
 
 
 class TestProductSystem:

@@ -542,7 +542,7 @@ class TestBlockInvariant:
         # fingerprint contracts each pattern once over every block and both
         # sides; each value must be its own block's literal sum
         sd = lq.spectral_decompose(lq.random_density(3, 7, [3, 2, 2], seed=29))
-        sig = fingerprint_from_decomposition(sd, np.ones(9), tau_cap=3)
+        sig = fingerprint_from_decomposition(sd, np.ones(9), lq.Tolerances(tau_cap=3))
         multi = [b for b in sd.blocks if len(b) > 1]
         assert len(multi) == 3
         keys = []
