@@ -3,15 +3,17 @@
 
 For a decided pair a line holds, tab-separated: the pair's name, the
 outcome, the reason, the witness key ("-" without a witness), the
-certificate attempts as mode/null_dim, and the SHA-256 of the
-certificate's u and w bytes ("-" without a certificate).  For a CLI
-report it holds the subcommand, the input's name, the exit code and the
-SHA-256 of the bytes written to stdout.  For an algebra basis it holds
-the state's name, the side, the dimension and the SHA-256 of the
-admitted word keys; values stay out, as they move at rounding level.
-Run it from the root of each checkout and diff:
+certificate attempts as mode/null_dim, the SHA-256 of the
+certificate's u and w bytes, and ``float.hex`` of its residual (both "-"
+without a certificate).  For a CLI report it holds the subcommand, the
+input's name, the exit code and the SHA-256 of the bytes written to
+stdout.  For an algebra basis it holds the state's name, the side, the
+dimension and the SHA-256 of the admitted word keys; values stay out, as
+they move at rounding level.  Run this one script, with its corpora,
+against the ``src`` of each checkout, so that both sides print the same
+columns, and diff:
 
-    PYTHONPATH=src python scripts/verdict_digest.py > before.txt
+    PYTHONPATH=../before/src python scripts/verdict_digest.py > before.txt
     PYTHONPATH=src python scripts/verdict_digest.py > after.txt
     diff before.txt after.txt
 
@@ -203,12 +205,13 @@ def digest_line(name: str, verdict) -> str:
         f"{a['mode']}/{a.get('null_dim', '-')}" for a in verdict.details.get("attempts", [])
     )
     cert = verdict.certificate
-    bits = "-"
+    bits = residual = "-"
     if cert is not None:
         raw = b"".join(np.ascontiguousarray(m, dtype=complex).tobytes() for m in (cert.u, cert.w))
         bits = hashlib.sha256(raw).hexdigest()
+        residual = float.hex(cert.residual)
     key = verdict.witness.key if verdict.witness is not None else "-"
-    return "\t".join([name, verdict.outcome, verdict.reason, key, attempts or "-", bits])
+    return "\t".join([name, verdict.outcome, verdict.reason, key, attempts or "-", bits, residual])
 
 
 def main() -> int:

@@ -80,10 +80,18 @@ class Word:
 
 
 def power_traces(rho: DensityMatrix) -> np.ndarray:
-    """Tr(rho^s) for s = 1 .. N^2, computed from the full spectrum."""
+    """Tr(rho^s) for s = 1 .. N^2, computed from the full spectrum.
+
+    Row s - 1 holds lambda^s, and the traces are the row sums.  The s = 2
+    row is lambda * lambda: numpy's scalar ``lams ** 2`` squares, but the
+    array power calls pow(x, 2.0), which can differ in the last bit.  So
+    each trace equals ``np.sum(lams ** s)`` bit for bit.
+    """
     lams = np.linalg.eigvalsh(rho.matrix)
     nn = rho.dim_local * rho.dim_local
-    return np.array([float(np.sum(lams**s)) for s in range(1, nn + 1)])
+    powers = lams ** np.arange(1, nn + 1)[:, None]
+    powers[1:2] = lams * lams
+    return powers.sum(axis=1)
 
 
 def word_trace(sd: SpectralDecomposition, word: Word) -> complex:
@@ -796,6 +804,18 @@ def values_close(a: complex, b: complex, eps: float) -> bool:
     return abs(a - b) <= eps * max(1.0, abs(a), abs(b))
 
 
+def power_trace_mismatch(
+    ja: np.ndarray, jb: np.ndarray, eps_inv: float
+) -> tuple[str, str, complex, complex] | None:
+    """The first J^s on which two power-trace arrays differ, as
+    (kind, key, value_a, value_b), else None; ``values_close`` elementwise."""
+    close = np.abs(ja - jb) <= eps_inv * np.maximum(1.0, np.maximum(np.abs(ja), np.abs(jb)))
+    if np.all(close):
+        return None
+    s = int(np.argmin(close))
+    return ("power_trace", f"J^{s + 1}", complex(ja[s]), complex(jb[s]))
+
+
 def compare_signatures(
     a: InvariantSignature, b: InvariantSignature, eps_inv: float
 ) -> tuple[str, str, complex, complex] | None:
@@ -806,9 +826,9 @@ def compare_signatures(
         return ("structure", "rank", a.rank, b.rank)
     if a.block_sizes != b.block_sizes:
         return ("structure", "block_sizes", 0, 0)
-    for s, (x, y) in enumerate(zip(a.power_traces, b.power_traces), start=1):
-        if not values_close(x, y, eps_inv):
-            return ("power_trace", f"J^{s}", complex(x), complex(y))
+    mismatch = power_trace_mismatch(a.power_traces, b.power_traces, eps_inv)
+    if mismatch is not None:
+        return mismatch
     if len(a.balanced_groups) != len(b.balanced_groups):
         return ("structure", "balanced_groups", 0, 0)
     for ga, gb in zip(a.balanced_groups, b.balanced_groups):

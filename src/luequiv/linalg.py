@@ -91,12 +91,19 @@ class NullSpace(NamedTuple):
 def nullspace(mat: np.ndarray) -> NullSpace:
     """Approximate null space of ``mat``, read off at any cutoff by ``basis``."""
     a = np.asarray(mat, dtype=complex)
-    cols = a.shape[1]
+    rows, cols = a.shape
     if a.size == 0:
         return NullSpace(np.eye(cols, dtype=complex), np.zeros(cols))
-    # Thin SVD: the left factor is never larger than the system.  A wide
-    # system needs the full right basis, whose left factor is then rows x rows.
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < cols)
+    if 9 * rows >= 17 * cols and a.size >= 1024:
+        # R-SVD (Chan 1982): a = QR, and the square R has a's singular values
+        # and right factor, so the rows x cols left factor is never formed.
+        # zgesdd takes this route itself from rows >= 17 cols / 9, so the
+        # bits are those of the direct SVD; below 1024 entries the QR call
+        # costs more than the left factor it saves.
+        a = np.linalg.qr(a, mode="r")
+    # Only the right factor is read.  A wide system needs the full right
+    # basis, whose left factor is then rows x rows.
+    _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
     if s[0] <= 1e-12:  # the whole system is rounding noise
         return NullSpace(np.eye(cols, dtype=complex), np.zeros(cols))
     return NullSpace(vh.conj(), np.concatenate([s, np.zeros(cols - len(s))]))

@@ -104,8 +104,10 @@ def spectral_decompose(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Spe
     eig = hermitian_eigendecompose(rho.matrix)
     keep = eig.eigenvalues > EPS_RANK
     lams = eig.eigenvalues[keep]
-    vecs = eig.eigenvectors[:, keep]
-    coeffs = tuple(_readonly(vecs[:, i].reshape(n, n)) for i in range(vecs.shape[1]))
+    # one read-only copy, eigenvectors as rows; each A_i is an (N, N) view of it
+    vecs = np.ascontiguousarray(eig.eigenvectors.T[keep])
+    vecs.flags.writeable = False
+    coeffs = tuple(vecs.reshape(-1, n, n))
     return SpectralDecomposition(
         n, _readonly(lams, float), coeffs, _degeneracy_blocks(lams, n, tol.eps_deg)
     )

@@ -308,7 +308,9 @@ class TestCertificateWork:
         certifies = count_calls(monkeypatch, "certify")
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT
-        assert (len(svds), len(certifies)) == (3, 2)
+        # the identity check runs, but needs no certify call
+        assert (len(svds), len(certifies)) == (3, 1)
+        assert verdict.details["attempts"][0] == {"mode": "identity", "success": False}
         assert [a["mode"] for a in verdict.details["attempts"]] == ["identity", "product"]
 
     def test_partly_degenerate_pair_one_product_attempt(self, monkeypatch):
@@ -361,6 +363,21 @@ class TestCertificateWork:
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT
         assert [a["mode"] for a in verdict.details["attempts"]] == ["identity", "coupled"]
+
+    def test_identity_residual_is_certify_at_the_identity(self, monkeypatch):
+        rho = lq.random_density(3, 5, seed=283)
+        rho2 = _perturbed(rho, 284)
+        certifies = count_calls(monkeypatch, "certify")
+        verdict = lq.decide(rho, rho2)
+        assert verdict.outcome == EQUIVALENT
+        assert verdict.details["attempts"] == [{"mode": "identity", "success": True}]
+        assert certifies == []
+        eye = np.eye(3)
+        np.testing.assert_array_equal(verdict.certificate.u, eye)
+        np.testing.assert_array_equal(verdict.certificate.w, eye)
+        residual = verdict.certificate.residual
+        assert 0 < residual <= 2e-12
+        assert float.hex(residual) == float.hex(decider.certify(rho, rho2, eye, eye))
 
     def test_identity_certifies_a_state_against_itself(self, monkeypatch):
         rho = weyl_bell_diagonal(3, [0.3, 0.2, 0.2] + [0.05] * 6)
@@ -498,6 +515,24 @@ class TestProductSystem:
         system = decider._product_system(rho, rho2, xs, ys)
         assert system.shape == (n ** 4, len(xs) * len(ys))
         assert np.linalg.norm(system @ np.outer(cx, cy).reshape(-1)) < 1e-10
+
+    def test_intertwiner_rows_hold_no_negative_zero(self, monkeypatch):
+        # the rows are P (x) 1 - 1 (x) Q^T, with every zero +0.0: the sign of
+        # a zero can flip a reflection of the SVD and so the basis bits
+        rho, rho2, _, _ = orbit_pair(3, 4, seed=285, profile=[2, 1, 1])
+        sd1, sd2 = lq.spectral_decompose(rho), lq.spectral_decompose(rho2)
+        systems = []
+        inner = decider.nullspace
+        monkeypatch.setattr(decider, "nullspace", lambda m: systems.append(m) or inner(m))
+        for side in ("L", "R"):
+            ps, qs = (decider._block_sums(sd, sd1.blocks, side) for sd in (sd1, sd2))
+            decider._intertwiners(ps, qs)
+            eye = np.eye(3)
+            kron = np.vstack([np.kron(p, eye) - np.kron(eye, q.T) for p, q in zip(ps, qs)])
+            rows = systems[-1]
+            np.testing.assert_array_equal(rows, kron)
+            for part in (rows.real, rows.imag):
+                assert not np.any(np.signbit(part[part == 0]))
 
     def test_scalar_families_leave_every_matrix_free(self):
         # Werner states: both local families are multiples of 1, so their

@@ -86,6 +86,40 @@ class TestPowerTraces:
         js = lq.power_traces(rho)
         assert np.all(np.diff(js) <= 1e-12)
 
+    def test_equal_to_per_power_sums_bit_for_bit(self):
+        # N = 1..6, every rank; diagonal states keep exactly degenerate
+        # spectra and eigenvalues of about -1e-17, rotated ones the
+        # eigensolver's rounding; the square row is the one pow() moves
+        rng = np.random.default_rng(40)
+        for n in range(1, 7):
+            nn = n * n
+            for rank in range(1, nn + 1):
+                weights = rng.dirichlet(np.ones(rank))
+                flat = np.repeat(weights[: (rank + 1) // 2], 2)[:rank]
+                for w in (weights, flat / flat.sum()):
+                    lams = np.zeros(nn)
+                    lams[:rank] = w
+                    lams[rank:] = -1e-17 * rng.random(nn - rank)
+                    v = lq.haar_unitary(nn, rng)
+                    for m in (np.diag(lams), v @ np.diag(lams) @ v.conj().T):
+                        rho = lq.validate_density(m, n)
+                        ev = np.linalg.eigvalsh(rho.matrix)
+                        loop = np.array([float(np.sum(ev**s)) for s in range(1, nn + 1)])
+                        assert np.array_equal(lq.power_traces(rho), loop), (n, rank)
+
+    def test_first_mismatch_is_named(self):
+        ja = np.array([1.0, 0.5, 0.3, 0.2, 0.1])
+        jb = ja.copy()
+        assert invariants.power_trace_mismatch(ja, jb, 1e-8) is None
+        jb[[2, 4]] += 1e-6
+        assert invariants.power_trace_mismatch(ja, jb, 1e-8) == (
+            "power_trace", "J^3", complex(ja[2]), complex(jb[2])
+        )
+        # relative above magnitude one, absolute below, as values_close
+        big = np.array([1e4, 1.0])
+        assert invariants.power_trace_mismatch(big, big + [5e-5, 0.0], 1e-8) is None
+        assert invariants.power_trace_mismatch(big, big + [2e-4, 0.0], 1e-8)[1] == "J^1"
+
 
 class TestWordTrace:
     def test_normalization_words(self):

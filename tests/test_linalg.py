@@ -181,3 +181,32 @@ class TestNullspace:
         sols = linalg.nullspace(m).basis(1e-10)
         assert sols.shape == (2, 3)
         np.testing.assert_allclose(np.abs(sols[:, 0]), 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("rows, cols", [(48, 32), (60, 40), (64, 32), (96, 24), (300, 20)])
+    @pytest.mark.parametrize("rank", ["full", "deficient"])
+    def test_tall_system_matches_the_direct_svd(self, rows, cols, rank):
+        # ratios from 1.2 to 15, so both of LAPACK's routes are covered
+        rng = np.random.default_rng(rows * cols)
+        k = cols if rank == "full" else cols - 5
+        m = (rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))) @ (
+            rng.standard_normal((k, cols)) + 1j * rng.standard_normal((k, cols))
+        )
+        null = linalg.nullspace(m)
+        _, s, vh = np.linalg.svd(m)
+        np.testing.assert_allclose(null.singulars[:k], s[:k], rtol=1e-13)
+        assert np.all(null.singulars[k:] <= 1e-12 * s[0])
+        basis = null.basis(1e-8)
+        assert basis.shape == (cols - k, cols)
+        ref = vh[k:].conj()
+        np.testing.assert_allclose(
+            basis.T @ basis.conj(), ref.T @ ref.conj(), atol=1e-12
+        )
+        gram = null.vectors @ null.vectors.conj().T
+        np.testing.assert_allclose(gram, np.eye(cols), atol=1e-12)
+
+    def test_tall_rounding_noise_leaves_every_direction_free(self):
+        rng = np.random.default_rng(18)
+        m = 1e-14 * (rng.standard_normal((200, 20)) + 1j * rng.standard_normal((200, 20)))
+        null = linalg.nullspace(m)
+        np.testing.assert_array_equal(null.vectors, np.eye(20))
+        np.testing.assert_array_equal(null.singulars, np.zeros(20))
