@@ -84,7 +84,9 @@ _FLAGS = {
     "--json": (None, dict(action="store_true", help="machine-readable output")),
     "--no-validate": (None, dict(action="store_true", help="skip density-matrix validation")),
     "--seed": (None, dict(type=int, default=0, help="random seed")),
-    "--tau-cap": ("tau_cap", dict(type=int, help="maximum word length")),
+    "--tau-cap": ("tau_cap", dict(
+        type=int, help="maximum word length; block sums, unlike words, have no evaluation budget"
+    )),
     "--eps-inv": ("eps_inv", dict(type=float, help="invariant comparison tolerance")),
     "--eps-cert": ("eps_cert", dict(type=float, help="certificate residual tolerance")),
     "--eps-deg": ("eps_deg", dict(type=float, help="degeneracy gap tolerance")),
@@ -191,7 +193,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    rho, label = load_state(args.state, validate=not args.no_validate)
+    rho, label = load_state(args.state)
     rng = np.random.default_rng(args.seed)
     u1 = haar_unitary(rho.dim_local, rng)
     u2 = haar_unitary(rho.dim_local, rng)
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="conjugate a state by seeded local unitaries")
     p.add_argument("state")
     p.add_argument("--out", required=True, help="output state file")
-    _add_flags(p, "--seed", "--no-validate")
+    _add_flags(p, "--seed")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("oracle", help="brute-force equivalence oracle")

@@ -12,7 +12,7 @@ EPS_HERM = 1e-10          # Hermiticity check, relative to max(1, ||M||_F)
 EPS_TRACE = 1e-10         # unit-trace check for density matrices
 EPS_PSD = 1e-10           # most negative admissible eigenvalue
 EPS_RANK = 1e-10          # absolute eigenvalue cutoff for the rank
-EPS_DET = 1e-12           # nonsingularity floor (Gram dets, certificate X and Y)
+EPS_DET = 1e-12           # nonsingularity floor of Gram determinants
 EPS_INDEP = 1e-8          # relative admission threshold in algebra closure
 EPS_SPAN = 1e-8           # residual for basis-expansion membership
 EPS_NULL = 1e-8           # singular-value cutoff for null spaces, relative to a scale

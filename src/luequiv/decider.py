@@ -29,6 +29,9 @@ as A'_i = U1 A_i U2^T up to those gauges, so the block sums
 are gauge-free covariant local operators: H'_b = U1 H_b U1^dagger and
 K'_b = conj(U2) K_b U2^T.  The search looks for a pair (X, Y) whose
 unitary polar parts (u, w) pass ``certify``; (U1^dagger, U2^T) is one.
+No candidate is screened first: the SVD gives a unitary polar factor of
+every matrix, singular or not, so each candidate costs two SVDs and one
+``certify``, and the residual alone decides.
 
 1. Identity.  u = w = 1 is tried first, with the residual
    ||rho2 - rho1||_F, which is ``certify``'s value at u = w = 1 bit for
@@ -79,7 +82,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, EPS_DET, EPS_NULL, Tolerances
+from .config import DEFAULT_TOL, EPS_NULL, Tolerances
 from .errors import DimensionMismatch, LuequivError
 from .invariants import (
     Word,
@@ -150,11 +153,6 @@ def certify(rho: DensityMatrix, rho2: DensityMatrix, u: np.ndarray, w: np.ndarra
     # u^dagger (x) (w*)^dagger: the products np.kron forms, without its overhead
     v = (dagger(u)[:, None, :, None] * w.T[None, :, None, :]).reshape(n * n, n * n)
     return frob(rho2.matrix - v @ rho.matrix @ dagger(v))
-
-
-def _nonsingular(m: np.ndarray) -> bool:
-    s = np.linalg.svd(m, compute_uv=False)
-    return s[0] > 0 and s[-1] > EPS_DET * max(1.0, s[0])
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +311,9 @@ def _search_pair(
     rows are tried first, then one seeded random combination of them.  In
     a one-dimensional space every combination is a multiple of the basis
     vector, and ``certify`` does not see the common phase, so the draw is
-    made only from two dimensions up.  ``certify`` alone decides, so a
-    space of dimension k costs at most k + 1 calls.
+    made only from two dimensions up.  No candidate is screened: each
+    costs the two SVDs of its polar factors and one ``certify`` call, which
+    alone decides, so a space of dimension k costs at most k + 1 calls.
     """
     k = vecs.shape[0]
     candidates = list(vecs)
@@ -323,12 +322,6 @@ def _search_pair(
         candidates.append((rng.standard_normal(k) + 1j * rng.standard_normal(k)) @ vecs)
     for cand in candidates:
         x, y = split(cand)
-        nx, ny = frob(x), frob(y)
-        if nx < 1e-9 or ny < 1e-9:
-            continue
-        x, y = x / nx, y / ny
-        if not (_nonsingular(x) and _nonsingular(y)):
-            continue
         u, w = polar_decompose(x), polar_decompose(y)
         residual = certify(rho1, rho2, u, w)
         if residual <= tol.eps_cert:

@@ -799,9 +799,10 @@ def fingerprint(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> InvariantS
     return fingerprint_from_decomposition(sd, power_traces(rho), tol)
 
 
-def values_close(a: complex, b: complex, eps: float) -> bool:
-    """Relative comparison above magnitude one, absolute below."""
-    return abs(a - b) <= eps * max(1.0, abs(a), abs(b))
+def values_close(a, b, eps: float):
+    """Relative comparison above magnitude one, absolute below, elementwise
+    on arrays; NaN is close to nothing."""
+    return np.abs(a - b) <= eps * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
 def power_trace_mismatch(
@@ -809,7 +810,7 @@ def power_trace_mismatch(
 ) -> tuple[str, str, complex, complex] | None:
     """The first J^s on which two power-trace arrays differ, as
     (kind, key, value_a, value_b), else None; ``values_close`` elementwise."""
-    close = np.abs(ja - jb) <= eps_inv * np.maximum(1.0, np.maximum(np.abs(ja), np.abs(jb)))
+    close = values_close(ja, jb, eps_inv)
     if np.all(close):
         return None
     s = int(np.argmin(close))
@@ -837,11 +838,9 @@ def compare_signatures(
         ):
             return ("structure", f"{ga.side}:len{ga.length}", 0, 0)
         va, vb = ga.values, gb.values
-        bad = np.abs(va - vb) > eps_inv * np.maximum(
-            1.0, np.maximum(np.abs(va), np.abs(vb))
-        )
-        if np.any(bad):
-            k = int(np.argmax(bad))
+        close = values_close(va, vb, eps_inv)
+        if not np.all(close):
+            k = int(np.argmin(close))
             return (
                 "balanced_word",
                 _word_key(ga.side, ga.letters[k]),

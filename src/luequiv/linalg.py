@@ -59,7 +59,9 @@ def hermitian_eigendecompose(m) -> HermitianEig:
 def polar_decompose(m: np.ndarray) -> np.ndarray:
     """Unitary factor u of the polar decomposition M = u P, P Hermitian PSD.
 
-    From the SVD M = W diag(s) V^dagger, u = W V^dagger.
+    From the SVD M = W diag(s) V^dagger, u = W V^dagger.  For a singular M
+    the unitary factor is not unique, and W V^dagger is one of many; the
+    SVD fixes it deterministically.
     """
     try:
         w, _, vh = np.linalg.svd(m)

@@ -251,7 +251,7 @@ FLAGS = {
     "fingerprint": {"--no-validate", "--tau-cap", "--eps-deg"},
     "compare": {"--report", "--json", "--no-validate", "--tau-cap", "--eps-inv",
                 "--eps-cert", "--eps-deg"},
-    "orbit": {"--out", "--seed", "--no-validate"},
+    "orbit": {"--out", "--seed"},
     "oracle": {"--restarts", "--iters", "--seed", "--no-validate"},
     "certify": {"--eps-cert", "--no-validate"},
 }

@@ -356,6 +356,38 @@ class TestCertificateWork:
         assert found is None
         assert len(certifies) == k + (k >= 2)
 
+    def test_singular_candidate_reaches_certify(self):
+        # the maximally mixed state is fixed by every local unitary, so the
+        # polar factors of a singular X and of Y = 0 certify it
+        rho = lq.validate_density(np.eye(4) / 4, 2)
+        found = decider._search_pair(
+            rho, rho, np.ones((1, 1)), DEFAULT_TOL,
+            lambda c: (np.diag([1.0, 0.0]), np.zeros((2, 2))),
+        )
+        assert isinstance(found, decider.Certificate)
+        assert found.residual == 0
+
+    def test_successful_product_search_takes_three_svds(self, monkeypatch):
+        # the split's SVD, then one polar factor each for X and Y
+        rho, rho2, _, _ = orbit_pair(3, 4, seed=280)
+        svd, search = np.linalg.svd, decider._search_pair
+        svds = []
+
+        def counted_svd(*args, **kwargs):
+            svds.append(1)
+            return svd(*args, **kwargs)
+
+        def counted_search(*args):
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", counted_svd)
+                return search(*args)
+
+        monkeypatch.setattr(decider, "_search_pair", counted_search)
+        verdict = lq.decide(rho, rho2)
+        assert verdict.outcome == EQUIVALENT
+        assert [a["mode"] for a in verdict.details["attempts"]] == ["identity", "product"]
+        assert len(svds) == 3
+
     def test_one_singleton_tries_the_coupled_system_first(self):
         # a pure state: one singleton, whose coupling rows need no phase
         # alignment, and a product system with freedom on both sides

@@ -120,6 +120,13 @@ class TestPowerTraces:
         assert invariants.power_trace_mismatch(big, big + [5e-5, 0.0], 1e-8) is None
         assert invariants.power_trace_mismatch(big, big + [2e-4, 0.0], 1e-8)[1] == "J^1"
 
+    def test_values_close_is_elementwise(self):
+        a = np.array([1e4, 1.0, 0.5, np.nan])
+        b = a + [5e-5, 2e-8, 0.0, 0.0]
+        want = [True, False, True, False]  # NaN is close to nothing
+        np.testing.assert_array_equal(invariants.values_close(a, b, 1e-8), want)
+        assert [bool(invariants.values_close(x, y, 1e-8)) for x, y in zip(a, b)] == want
+
 
 class TestWordTrace:
     def test_normalization_words(self):
