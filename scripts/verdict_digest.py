@@ -26,6 +26,9 @@ Corpora (all by default, or name them with --corpus):
     agreement      build_corpus of scripts/run_agreement_corpus.py,
                    60 pairs at N=2 and at N=3, seed 0, both ways
     decide-orbit   the lubench decide-orbit inputs, seeds 1-4, both ways
+    cli-pairs      the state pairs of the lubench cli compare inputs,
+                   seeds 1-4, loaded from their files as the CLI loads
+                   them and decided in the library, both ways
     cli-reports    luequiv.cli.main, in process, on the lubench cli
                    inputs of seeds 1-2 and on the states of
                    tests/test_cli.py (each subcommand but validate),
@@ -106,6 +109,25 @@ def decide_orbit():
             for c, (_, _, a, b) in enumerate(kind.cases):
                 yield f"decide-orbit:s{seed}-{kind.name}-{c}", a, b
                 yield f"decide-orbit:s{seed}-{kind.name}-{c} swapped", b, a
+
+
+def cli_pairs():
+    import workloads
+
+    from luequiv.io import load_state
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in (1, 2, 3, 4):
+            workdir = Path(tmp) / f"s{seed}"
+            workdir.mkdir()
+            for kind in workloads.cli_kinds(lq, seed, workdir):
+                for c, case in enumerate(kind.cases):
+                    argv = case[-1]
+                    if argv[0] != "compare":
+                        continue
+                    a, b = (load_state(path)[0] for path in argv[1:3])
+                    yield f"cli-pairs:s{seed}-{kind.name}-{c}", a, b
+                    yield f"cli-pairs:s{seed}-{kind.name}-{c} swapped", b, a
 
 
 def _cli_inputs(tmp: Path):
@@ -194,6 +216,7 @@ CORPORA = {
     "criterion-3": _verdicts(criterion_3),
     "agreement": _verdicts(agreement),
     "decide-orbit": _verdicts(decide_orbit),
+    "cli-pairs": _verdicts(cli_pairs),
     "cli-reports": cli_reports,
     "algebra": algebra,
     "near-gap": _verdicts(near_gap),

@@ -1,23 +1,33 @@
 """Equivalence decision pipeline with explicit certificates.
 
 ``decide`` compares two density matrices in stages, cheapest first:
-power traces, the invariant signature up to word length 2, an attempted
-reconstruction of local unitaries (u, w) such that conjugating the first
-state by u^dagger (x) (w*)^dagger yields the second, and, only when that
-fails, the signature at length 3 and then at the full word-length cap.
-Any claimed equivalence is backed by a direct Frobenius-norm residual,
-which is insensitive to every gauge freedom of the spectral
-decompositions, so a returned certificate is its own proof and needs no
-further invariant.  The longer words (O(r^3) of length 3 for r
-singleton eigenvectors) serve only to name a witness for a pair that no
-certificate maps onto each other.  The O(r^2) words of length at most 2
-cost less than a certificate system, so they still come first and reject
-most inequivalent pairs before any system is built.  A witness, or an
-``inconclusive`` after every rung agreed, counts only when no certificate
-exists at the coarse block structure either, which chains eigenvalues a
-relative gap of sqrt(eps_deg) apart: just above eps_deg, eigh leaves
-rounding noise in their words larger than eps_inv, and in their
-eigenvectors more than the certificate systems tolerate.
+power traces, a Gram test of the block operators H_b and K_b (below), an
+attempted reconstruction of local unitaries (u, w) such that conjugating
+the first state by u^dagger (x) (w*)^dagger yields the second, and, only
+when that fails, the invariant signature at word length 2, 3 and then at
+the full word-length cap.  Any claimed equivalence is backed by a direct
+Frobenius-norm residual, which is insensitive to every gauge freedom of
+the spectral decompositions, so a returned certificate is its own proof
+and needs no further invariant.  The words serve only to name a witness
+for a pair that no certificate maps onto each other.
+
+The Gram test compares Tr(P_b P_c) for every pair of blocks and both
+families (P = H or K) within ``eps_inv``, absolute.  Every value of the
+signature up to word length 2 is one of these traces or |b| (Makhlin,
+Quantum Inf. Process. 1, 2002): L:(i,i)(j,j) and R:(i,j)(j,i) are
+Tr(H_i H_j), L:(i,j)(j,i) and R:(i,i)(j,j) are Tr(K_i K_j), and a block's
+length-2 sums are Tr(H_b^2) and Tr(K_b^2).  So the test rejects most
+inequivalent pairs before any system is built, at the cost of operators
+the certificate search needs anyway.  When the test fails, or the
+certificate does, the rungs run from word length 2 as if the test did
+not exist (the certificate is tried after length 2 only if it has not
+been tried), so every witness and every ``inconclusive`` comes from the
+signature.  A witness, or an ``inconclusive`` after every rung agreed,
+counts only when no certificate exists at the coarse block structure
+either, which chains eigenvalues a relative gap of sqrt(eps_deg) apart:
+just above eps_deg, eigh leaves rounding noise in their words larger
+than eps_inv, and in their eigenvectors more than the certificate
+systems tolerate.
 
 Certificate search.  Eigendecompositions fix eigenvectors only up to a
 phase, and up to remixing inside degeneracy blocks.  Under
@@ -45,6 +55,10 @@ every matrix, singular or not, so each candidate costs two SVDs and one
    T = sum_ab c_ab X_a (x) conj(Y_b) over the bases of S_A and S_B, and
    each candidate c is split into (X, Y) by the top singular pair of its
    dim S_A x dim S_B reshape.  Nothing here depends on phases or bases.
+   When dim S_A = dim S_B = 1 (every nondegenerate orbit pair) the system
+   is one column: its singular value is ||rho1 T - T rho2||_F for
+   T = X (x) conj(Y), so that norm takes the SVD's place, and the one
+   candidate is (X, Y) itself, which the SVDs would give bit for bit.
 3. Coupled system.  The linking equations A_i Y = X A'_i and
    A_i^dagger X = Y A'_i^dagger of every singleton eigenvector i, after
    ``_align_phases`` has rephased the second state's singletons with
@@ -57,8 +71,9 @@ every matrix, singular or not, so each candidate costs two SVDs and one
 The product system comes before the coupled one, except with exactly one
 singleton and a product space of more than one dimension (pure and
 isotropic states): one singleton needs no alignment, and its coupled
-system is far smaller.  Each system gets one SVD and one search through
-``_search_pair``; if none certifies, the verdict is an explicit
+system is far smaller.  Each system gets one SVD (the one-column
+product system a norm) and one search through ``_search_pair``; if none
+certifies, the verdict is an explicit
 Inconclusive rather than a guess.
 
 The coupled system holds no generator equations of two singletons i and
@@ -246,12 +261,32 @@ def _align_phases(
 # certificate search
 
 
-def _block_sums(sd: SpectralDecomposition, blocks, side: str) -> np.ndarray:
-    """H_b = sum_{p in b} A_p A_p^dag (side "L") or K_b = sum A_p^dag A_p ("R"),
-    stacked over the blocks, which are consecutive runs of indices."""
-    a = np.array(sd.coeff_matrices)
-    a = a if side == "L" else a.conj().transpose(0, 2, 1)
-    return np.add.reduceat(a @ a.conj().transpose(0, 2, 1), [b[0] for b in blocks], axis=0)
+def _block_operators(
+    sd1: SpectralDecomposition, sd2: SpectralDecomposition, blocks
+) -> np.ndarray:
+    """H_b = sum_{p in b} A_p A_p^dag and K_b = sum_{p in b} A_p^dag A_p of
+    both states, shape (side, state, block, N, N), side 0 for H and 1 for K.
+
+    One stacked product over x = [A; A^dag] of both states, then one sum
+    over the blocks, which are consecutive runs of indices.
+    """
+    a = np.array((sd1.coeff_matrices, sd2.coeff_matrices))
+    x = np.stack((a, a.conj().swapaxes(-1, -2)))
+    return np.add.reduceat(x @ x.conj().swapaxes(-1, -2), [b[0] for b in blocks], axis=2)
+
+
+def _gram_agrees(ops: np.ndarray, eps_inv: float) -> bool:
+    """Whether Tr(P_b P_c) agrees within ``eps_inv`` (absolute) between the
+    states for every pair of blocks and both sides.
+
+    These traces hold the signature up to word length 2 (module
+    docstring); its length-1 words and sums are Tr(H_b) = |b| for every
+    state.  The absolute bound is at least as strict as ``values_close``.
+    """
+    flat = ops.reshape(*ops.shape[:3], -1)
+    # G[b, c] = sum_k P_b[k] conj(P_c[k]) = Tr(P_b P_c^dag), and P_c is Hermitian
+    gram = flat @ flat.conj().swapaxes(-1, -2)
+    return bool(np.max(np.abs(gram[:, 0] - gram[:, 1])) <= eps_inv)
 
 
 def _intertwiners(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -335,8 +370,11 @@ def _attempt_certificate(
     sd1: SpectralDecomposition,
     sd2: SpectralDecomposition,
     blocks: tuple[tuple[int, ...], ...],
+    ops: np.ndarray,
     tol: Tolerances,
 ) -> tuple[Certificate | None, dict]:
+    """Identity, product and coupled attempts; ``ops`` is
+    ``_block_operators(sd1, sd2, blocks)``."""
     n = rho1.dim_local
     nn = n * n
     eye = np.eye(n, dtype=complex)
@@ -344,16 +382,23 @@ def _attempt_certificate(
     details: dict = {"attempts": [{"mode": "identity", "success": residual <= tol.eps_cert}]}
     if residual <= tol.eps_cert:
         return Certificate(eye, eye, residual), details
-    xs, ys = (
-        _intertwiners(_block_sums(sd1, blocks, side), _block_sums(sd2, blocks, side))
-        for side in ("L", "R")
-    )
+    xs, ys = (_intertwiners(ps, qs) for ps, qs in ops)
     da, db = len(xs), len(ys)
     singles = [b[0] for b in blocks if len(b) == 1]
 
     def product():
         # as for the families: a system of rounding noise leaves every T free
         scale = frob(rho1.matrix) + frob(rho2.matrix)
+        if da == db == 1:
+            # one candidate, T = X (x) conj(Y): the system is one column, whose
+            # singular value is ||rho1 T - T rho2||_F (the max keeps
+            # nullspace's 1e-12 noise floor), and its null vector is exactly
+            # 1, which the split would turn into X and Y unchanged
+            x, y = xs.reshape(n, n), ys.reshape(n, n)
+            t = (x[:, None, :, None] * y.conj()[None, :, None, :]).reshape(nn, nn)
+            norm = frob(rho1.matrix @ t - t @ rho2.matrix)
+            vecs = np.ones((int(norm <= max(EPS_NULL * scale, 1e-12)), 1))
+            return vecs, lambda c: (x, y)
         vecs = nullspace(_product_system(rho1, rho2, xs, ys)).basis(EPS_NULL, scale)
 
         def split(c):
@@ -426,10 +471,15 @@ def _coarse_verdict(
     ))
     if coarse == blocks:
         return None
-    certificate, details = _attempt_certificate(rho1, rho2, sd1, sd2, coarse, tol)
+    ops = _block_operators(sd1, sd2, coarse)
+    certificate, details = _attempt_certificate(rho1, rho2, sd1, sd2, coarse, ops, tol)
     if certificate is None:
         return None
     details["coarse_blocks"] = [list(b) for b in coarse]
+    return _certified(certificate, details)
+
+
+def _certified(certificate: Certificate, details: dict) -> EquivalenceVerdict:
     return EquivalenceVerdict(
         outcome=EQUIVALENT, certificate=certificate, reason="certificate", details=details
     )
@@ -455,13 +505,16 @@ def decide(
     """Full decision pipeline; every Equivalent verdict carries a verified
     certificate and every NotEquivalent verdict a named invariant witness.
 
-    Stages run cheapest first: power traces, the signature up to word
-    length 2, one certificate attempt, then the signature at length 3 and
-    at ``tol.effective_tau_cap``.  A pair that agrees through length 2 and
-    certifies is equivalent whatever its longer words; the longer words are
-    evaluated only to find a witness once the certificate has failed.
-    Before a witness or a final ``inconclusive`` is returned, the pair is
-    tried once more at the coarse block structure (``_coarse_verdict``).
+    Stages run cheapest first: power traces, the Gram test of the block
+    operators (``_gram_agrees``), which holds the signature up to word
+    length 2, one certificate attempt, then the signature at length 2, 3
+    and ``tol.effective_tau_cap``.  A pair that passes the test and
+    certifies is equivalent whatever its words; the words are evaluated
+    only to find a witness once the test or the certificate has failed, and
+    a certificate not yet tried is tried after length 2, as the only
+    attempt.  Before a witness or a final ``inconclusive`` is returned, the
+    pair is tried once more at the coarse block structure
+    (``_coarse_verdict``).
     """
     if rho1.dim_local != rho2.dim_local:
         raise DimensionMismatch("states live on different local dimensions")
@@ -478,6 +531,12 @@ def decide(
                 details={"ranks": [sd1.rank, sd2.rank]},
             )
         blocks = _joint_blocks(sd1, sd2)
+        ops = _block_operators(sd1, sd2, blocks)
+        details = None  # the certificate attempt's, once it is made
+        if _gram_agrees(ops, tol.eps_inv):
+            certificate, details = _attempt_certificate(rho1, rho2, sd1, sd2, blocks, ops, tol)
+            if certificate is not None:
+                return _certified(certificate, details)
         cap = tol.effective_tau_cap(rho1.dim_local)
         for rung, tau in enumerate(sorted({min(2, cap), min(3, cap), cap})):
             rung_tol = tol.replace(tau_cap=tau)
@@ -486,13 +545,12 @@ def decide(
             mismatch = compare_signatures(sig1, sig2, tol.eps_inv)
             if mismatch is not None:
                 break
-            if rung == 0:
-                certificate, details = _attempt_certificate(rho1, rho2, sd1, sd2, blocks, tol)
+            if rung == 0 and details is None:
+                certificate, details = _attempt_certificate(
+                    rho1, rho2, sd1, sd2, blocks, ops, tol
+                )
                 if certificate is not None:
-                    return EquivalenceVerdict(
-                        outcome=EQUIVALENT, certificate=certificate,
-                        reason="certificate", details=details,
-                    )
+                    return _certified(certificate, details)
         coarse = _coarse_verdict(rho1, rho2, sd1, sd2, blocks, tol)
         if coarse is not None:
             return coarse

@@ -87,7 +87,7 @@ def power_traces(rho: DensityMatrix) -> np.ndarray:
     array power calls pow(x, 2.0), which can differ in the last bit.  So
     each trace equals ``np.sum(lams ** s)`` bit for bit.
     """
-    lams = np.linalg.eigvalsh(rho.matrix)
+    lams = rho.spectrum
     nn = rho.dim_local * rho.dim_local
     powers = lams ** np.arange(1, nn + 1)[:, None]
     powers[1:2] = lams * lams

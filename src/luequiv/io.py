@@ -176,4 +176,5 @@ def load_state(path, validate: bool = True) -> tuple[DensityMatrix, str | None]:
         return validate_density(matrix, n), label
     if matrix.shape != (n * n, n * n):
         raise ParseError(f"{path}: matrix shape {matrix.shape} does not match local_dim {n}")
+    matrix.flags.writeable = False  # as validate_density's: a cached spectrum cannot go stale
     return DensityMatrix(n, matrix), label

@@ -10,6 +10,7 @@ phase handling is owned by the decision pipeline.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,14 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.dim_local * self.dim_local
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """All N^2 eigenvalues, ascending (``eigvalsh``), computed once;
+        read-only, like ``matrix``."""
+        lams = np.linalg.eigvalsh(self.matrix)
+        lams.flags.writeable = False
+        return lams
 
 
 @dataclass(frozen=True)
@@ -75,10 +84,11 @@ def validate_density(matrix, n: int) -> DensityMatrix:
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > EPS_TRACE:
         raise NotUnitTrace(f"trace is {tr.real:.12g}{tr.imag:+.3g}j, expected 1")
-    lo = float(np.linalg.eigvalsh(m)[0])
+    rho = DensityMatrix(n, _readonly(m))
+    lo = float(rho.spectrum[0])
     if lo < -EPS_PSD:
         raise NotPositiveSemidefinite(f"smallest eigenvalue {lo:.3e} is negative")
-    return DensityMatrix(n, _readonly(m))
+    return rho
 
 
 def _degeneracy_blocks(lams: np.ndarray, n: int, eps_deg: float) -> tuple[tuple[int, ...], ...]:

@@ -1,14 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import luequiv as lq
 import luequiv.decider as decider
-from luequiv.config import DEFAULT_TOL, EPS_UNITARY
+from luequiv.config import DEFAULT_TOL, EPS_UNITARY, Tolerances
 from luequiv.decider import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT
 from luequiv.errors import DimensionMismatch, NotUnitary
-from luequiv.invariants import Word, values_close
+from luequiv.invariants import Word, compare_signatures, fingerprint_from_decomposition, values_close
 from luequiv.linalg import dagger
 from luequiv.states import decomposition_from_coeffs
 
@@ -300,7 +301,9 @@ class TestDecide:
 class TestCertificateWork:
     """The identity check, then one SVD per system, and no second certify
     after a success.  The product system costs three SVDs: one for each
-    local family's intertwiners and one for the system itself."""
+    local family's intertwiners and one for the system itself.  When both
+    intertwiner spaces are one-dimensional the system is one column, whose
+    norm stands in for its SVD, so it costs two."""
 
     def test_nondegenerate_pair_one_product_attempt(self, monkeypatch):
         rho, rho2, _, _ = orbit_pair(3, 4, seed=280)
@@ -308,8 +311,9 @@ class TestCertificateWork:
         certifies = count_calls(monkeypatch, "certify")
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT
-        # the identity check runs, but needs no certify call
-        assert (len(svds), len(certifies)) == (3, 1)
+        # the identity check runs, but needs no certify call, and the
+        # one-column product system needs no SVD
+        assert (len(svds), len(certifies)) == (2, 1)
         assert verdict.details["attempts"][0] == {"mode": "identity", "success": False}
         assert [a["mode"] for a in verdict.details["attempts"]] == ["identity", "product"]
 
@@ -318,7 +322,7 @@ class TestCertificateWork:
         svds = count_calls(monkeypatch, "nullspace")
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT
-        assert len(svds) == 3
+        assert len(svds) == 2
         assert [a["mode"] for a in verdict.details["attempts"]] == ["identity", "product"]
 
     def test_failing_systems_are_searched_once_each(self, monkeypatch):
@@ -367,8 +371,9 @@ class TestCertificateWork:
         assert isinstance(found, decider.Certificate)
         assert found.residual == 0
 
-    def test_successful_product_search_takes_three_svds(self, monkeypatch):
-        # the split's SVD, then one polar factor each for X and Y
+    def test_successful_product_search_takes_two_svds(self, monkeypatch):
+        # one polar factor each for X and Y; a one-dimensional product
+        # space needs no split
         rho, rho2, _, _ = orbit_pair(3, 4, seed=280)
         svd, search = np.linalg.svd, decider._search_pair
         svds = []
@@ -386,7 +391,7 @@ class TestCertificateWork:
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT
         assert [a["mode"] for a in verdict.details["attempts"]] == ["identity", "product"]
-        assert len(svds) == 3
+        assert len(svds) == 2
 
     def test_one_singleton_tries_the_coupled_system_first(self):
         # a pure state: one singleton, whose coupling rows need no phase
@@ -418,6 +423,101 @@ class TestCertificateWork:
         assert verdict.outcome == EQUIVALENT
         assert svds == []
         assert verdict.details["attempts"] == [{"mode": "identity", "success": True}]
+
+
+GRAM_STATES = [
+    (2, 1, None), (2, 3, None), (2, 4, None), (2, 3, [2, 1]), (2, 4, [2, 2]),
+    (3, 4, None), (3, 9, None), (3, 5, [2, 1, 2]), (3, 4, [3, 1]), (3, 6, [2, 2, 1, 1]),
+    (4, 5, None), (4, 16, None), (4, 6, [2, 1, 1, 2]), (4, 7, [3, 1, 3]),
+]
+
+
+def _block_key_parts(key):
+    """(side, first 0-based index, tau, cycle type) of a block-invariant key."""
+    side, rest = key.split(":", 1)
+    ids, tau, ctype = re.fullmatch(r"block\(([\d,]+)\):len(\d+):type\(([\d,]+)\)", rest).groups()
+    return side, int(ids.split(",")[0]) - 1, int(tau), ctype
+
+
+class TestGramTest:
+    """``decide`` compares the Gram matrices Tr(P_b P_c) of the block
+    operators H_b and K_b before the certificate, in place of the signature
+    up to word length 2, whose every value is one of their entries or |b|."""
+
+    @pytest.mark.parametrize("n, rank, profile", GRAM_STATES)
+    def test_length_two_signature_is_gram_entries(self, n, rank, profile):
+        rho = lq.random_density(n, rank, profile, seed=330 + 10 * n + rank)
+        sd = lq.spectral_decompose(rho)
+        flat = decider._block_operators(sd, sd, sd.blocks)[:, 0].reshape(2, len(sd.blocks), -1)
+        gram = flat @ flat.conj().swapaxes(-1, -2)  # gram[side, b, c] = Tr(P_b P_c), H then K
+        block_of = {p: k for k, b in enumerate(sd.blocks) for p in b}
+        sig = fingerprint_from_decomposition(sd, lq.power_traces(rho), Tolerances(tau_cap=2))
+        checked = 0
+        for group in sig.balanced_groups:
+            for row, value in zip(group.letters.astype(int) - 1, group.values):
+                if group.length == 1:
+                    expected = 1.0
+                else:
+                    # (i,i)(j,j) is Tr(H_i H_j) on L and Tr(K_i K_j) on R;
+                    # (i,j)(j,i) the other way round
+                    (i, k), (j, _) = row
+                    side = 0 if (i == k) == (group.side == "L") else 1
+                    expected = gram[side, block_of[i], block_of[j]]
+                assert abs(value - expected) <= 1e-13, (group.side, row)
+                checked += 1
+        for key, value in sig.block_invariants.items():
+            side, first, tau, ctype = _block_key_parts(key)
+            b = block_of[first]
+            if tau == 1:
+                expected = len(sd.blocks[b])
+            else:
+                # type (2) is Tr(H_b^2) on L and Tr(K_b^2) on R; type (1,1) the other way
+                g = 0 if (ctype == "2") == (side == "L") else 1
+                expected = gram[g, b, b]
+            assert abs(value - expected) <= 1e-13, key
+            checked += 1
+        assert checked == len(sig.balanced_words) + len(sig.block_invariants) > 0
+
+    def test_block_operators_are_the_per_state_products(self):
+        # the bits the intertwiners see: A A^dag and A^dag A, summed per block
+        rho, rho2, _, _ = orbit_pair(3, 6, seed=331, profile=[2, 1, 2, 1])
+        sd1, sd2 = lq.spectral_decompose(rho), lq.spectral_decompose(rho2)
+        starts = [b[0] for b in sd1.blocks]
+        ops = decider._block_operators(sd1, sd2, sd1.blocks)
+        assert ops.shape == (2, 2, 4, 3, 3)
+        for t, sd in enumerate((sd1, sd2)):
+            a = np.array(sd.coeff_matrices)
+            for s, x in enumerate((a, a.conj().transpose(0, 2, 1))):
+                ref = np.add.reduceat(x @ x.conj().transpose(0, 2, 1), starts, axis=0)
+                np.testing.assert_array_equal(ops[s, t], ref)
+
+    def test_equivalent_pair_builds_no_signature_and_no_product_system(self, monkeypatch):
+        rho, rho2, _, _ = orbit_pair(3, 4, seed=280)
+        signatures = count_calls(monkeypatch, "fingerprint_from_decomposition")
+        products = count_calls(monkeypatch, "_product_system")
+        verdict = lq.decide(rho, rho2)
+        assert verdict.outcome == EQUIVALENT
+        assert (signatures, products) == ([], [])
+
+    def test_same_spectrum_pair_fails_it_before_any_certificate(self, monkeypatch):
+        rho = lq.random_density(3, 4, seed=332)
+        w, v = np.linalg.eigh(rho.matrix)
+        u = lq.haar_unitary(9, np.random.default_rng(333)) @ v
+        other = lq.validate_density((u * w) @ dagger(u), 3)
+        sd1, sd2 = lq.spectral_decompose(rho), lq.spectral_decompose(other)
+        blocks = decider._joint_blocks(sd1, sd2)
+        assert not decider._gram_agrees(decider._block_operators(sd1, sd2, blocks), 1e-8)
+        attempts = count_calls(monkeypatch, "_attempt_certificate")
+        verdict = lq.decide(rho, other)
+        assert verdict.outcome == NOT_EQUIVALENT
+        assert attempts == []
+        tol = DEFAULT_TOL.replace(tau_cap=2)
+        sig1, sig2 = (
+            fingerprint_from_decomposition(sd, lq.power_traces(r), tol, blocks=blocks)
+            for sd, r in ((sd1, rho), (sd2, other))
+        )
+        w = verdict.witness
+        assert (w.kind, w.key, w.value_a, w.value_b) == compare_signatures(sig1, sig2, 1e-8)
 
 
 def _full_rank_orbit_pair(n, seed):
@@ -476,15 +576,17 @@ class TestCertificateSystem:
         coupled = _record_systems(monkeypatch, "_certificate_system")
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT, verdict.reason
-        # each local family has a one-dimensional intertwiner space
-        assert (products, coupled) == ([(8 ** 4, 1)], [])
+        # each local family has a one-dimensional intertwiner space, so the
+        # product system is one column, tested by its norm and never built
+        assert (products, coupled) == ([], [])
+        assert verdict.details["attempts"][-1] == {"mode": "product", "null_dim": 1, "success": True}
         assert lq.certify(rho, rho2, verdict.certificate.u, verdict.certificate.w) <= 1e-8
 
     def test_partly_degenerate_coupled_system_has_no_pair_rows(self, monkeypatch):
         rho, rho2, _, _ = orbit_pair(3, 4, seed=281, profile=[2, 1, 1])
         products = _record_systems(monkeypatch, "_product_system")
         assert lq.decide(rho, rho2).outcome == EQUIVALENT
-        assert products == [(3 ** 4, 1)]
+        assert products == []  # one column, tested by its norm
         sd = lq.spectral_decompose(rho)
         singles = [b[0] for b in sd.blocks if len(b) == 1]
         coupled = decider._certificate_system(sd, list(sd.coeff_matrices), singles)
@@ -527,8 +629,8 @@ class TestCertificateSystem:
 
 def _intertwiners(sd1, sd2, side):
     """Intertwiners of the side's local families over the blocks of sd1."""
-    sums = [decider._block_sums(sd, sd1.blocks, side) for sd in (sd1, sd2)]
-    return decider._intertwiners(*sums)
+    ops = decider._block_operators(sd1, sd2, sd1.blocks)
+    return decider._intertwiners(*ops["LR".index(side)])
 
 
 class TestProductSystem:
@@ -556,8 +658,7 @@ class TestProductSystem:
         systems = []
         inner = decider.nullspace
         monkeypatch.setattr(decider, "nullspace", lambda m: systems.append(m) or inner(m))
-        for side in ("L", "R"):
-            ps, qs = (decider._block_sums(sd, sd1.blocks, side) for sd in (sd1, sd2))
+        for ps, qs in decider._block_operators(sd1, sd2, sd1.blocks):
             decider._intertwiners(ps, qs)
             eye = np.eye(3)
             kron = np.vstack([np.kron(p, eye) - np.kron(eye, q.T) for p, q in zip(ps, qs)])

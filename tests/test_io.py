@@ -120,6 +120,13 @@ class TestLoadState:
         rho, _ = load_state(self.write(tmp_path))
         assert rho.dim_local == 1
 
+    def test_unvalidated_matrix_is_read_only(self, tmp_path):
+        # so the spectrum a DensityMatrix caches cannot go stale
+        for validate in (True, False):
+            rho, _ = load_state(self.write(tmp_path), validate=validate)
+            with pytest.raises(ValueError):
+                rho.matrix[0, 0] = 0.5
+
     @pytest.mark.parametrize("local_dim", ["abc", None, 2.7, 1.0, True, 0, -1, "1"])
     def test_rejects_local_dim(self, tmp_path, local_dim):
         for validate in (True, False):

@@ -55,6 +55,21 @@ class TestValidateDensity:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
+    def test_one_eigvalsh_for_validation_and_power_traces(self, monkeypatch):
+        # the PSD check reads the cached spectrum, and power traces reuse it
+        m = lq.random_density(3, 5, seed=27).matrix
+        calls = []
+        inner = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or inner(a))
+        rho = lq.validate_density(m, 3)
+        traces = lq.power_traces(rho)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(rho.spectrum, inner(rho.matrix))
+        assert rho.spectrum is rho.spectrum
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 1.0
+        assert traces[0] == np.sum(rho.spectrum)
+
 
 class TestSpectralDecompose:
     def test_bell_state(self):
