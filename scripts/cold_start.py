@@ -4,9 +4,11 @@
 Each command runs in a new process, so the times include the interpreter,
 every import and the first call's cold caches: what a shell user waits
 for.  The `lubench` workloads call the CLI inside one warm process and
-cannot show this.  Commands run on the state files of tests/test_cli.py
-plus one N=3 rank-3 state, with one BLAS thread, interleaved over --runs
-rounds; the script prints the median, minimum and maximum of each.  Set
+cannot show this.  Commands run on the state files of tests/test_cli.py,
+one N=3 rank-3 state and the N=4 rank-10 state of the
+scripts/verdict_digest.py cli-reports corpus (the largest report there,
+8.7 MB), with one BLAS thread, interleaved over --runs rounds; the script
+prints the median, minimum and maximum of each.  Set
 PYTHONPATH to the checkout to be timed:
 
     PYTHONPATH=src python scripts/cold_start.py
@@ -36,11 +38,14 @@ def commands(directory: Path) -> dict[str, list]:
     states = write_states(directory)
     n3r3 = directory / "n3r3.json"
     save_state(n3r3, lq.random_density(3, 3, seed=1).matrix, 3)
+    n4r10 = directory / "n4r10.json"
+    save_state(n4r10, lq.random_density(4, 10, seed=19).matrix, 4)
     return {
         "--version": ["--version"],
         "compare --json": ["compare", states["bell"], states["bell"], "--json"],
         "fingerprint": ["fingerprint", states["bell"]],
         "fingerprint n3-r3": ["fingerprint", n3r3],
+        "fingerprint n4-r10": ["fingerprint", n4r10],
     }
 
 

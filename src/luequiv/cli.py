@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +44,10 @@ from .errors import (
     NotUnitTrace,
     ParseError,
 )
-from .invariants import fingerprint
+from .invariants import InvariantSignature, _letter_labels, _word_bodies, fingerprint
 from .io import (
     REPORT_SCHEMA_VERSION,
+    ComplexTable,
     dump_json,
     file_digest,
     load_state,
@@ -85,7 +87,8 @@ _FLAGS = {
     "--no-validate": (None, dict(action="store_true", help="skip density-matrix validation")),
     "--seed": (None, dict(type=int, default=0, help="random seed")),
     "--tau-cap": ("tau_cap", dict(
-        type=int, help="maximum word length; block sums, unlike words, have no evaluation budget"
+        type=int, help="maximum word length, with no upper bound; block sums, unlike words, "
+        "have no evaluation budget, and their keys grow with the partition numbers of the cap"
     )),
     "--eps-inv": ("eps_inv", dict(type=float, help="invariant comparison tolerance")),
     "--eps-cert": ("eps_cert", dict(type=float, help="certificate residual tolerance")),
@@ -107,6 +110,20 @@ def _tolerances(args) -> Tolerances:
         build_parser().error(str(exc))
 
 
+def _word_table(sig: InvariantSignature) -> ComplexTable:
+    """``sig.balanced_words`` in key order, from its groups: the L and R
+    groups of a length share one letters array, so the key bodies are built
+    and sorted once, and every ``L:`` key sorts before every ``R:`` key."""
+    groups = sig.balanced_groups
+    if not groups:
+        return ComplexTable((), [], np.empty((0, 0), complex))
+    labels = _letter_labels(sig.rank)
+    bodies = list(chain.from_iterable(_word_bodies(g.letters, labels) for g in groups[0::2]))
+    order = sorted(range(len(bodies)), key=bodies.__getitem__)
+    values = np.stack([np.concatenate([g.values for g in groups[s::2]]) for s in (0, 1)])
+    return ComplexTable(("L:", "R:"), list(map(bodies.__getitem__, order)), values[:, order])
+
+
 def _signature_doc(path: str, tol: Tolerances, validate: bool) -> dict:
     rho, label = load_state(path, validate=validate)
     sig = fingerprint(rho, tol)
@@ -120,7 +137,7 @@ def _signature_doc(path: str, tol: Tolerances, validate: bool) -> dict:
         "rank": sig.rank,
         "block_sizes": list(sig.block_sizes),
         "power_traces": [float(x) for x in sig.power_traces],
-        "balanced_words": sig.balanced_words,
+        "balanced_words": _word_table(sig),
         "block_invariants": sig.block_invariants,
         "tau_balanced": sig.tau_balanced,
         "tau_block": sig.tau_block,

@@ -681,6 +681,18 @@ def _word_key(side: str, row) -> str:
     return side + ":" + "".join(f"({int(i)},{int(j)})" for i, j in row)
 
 
+def _letter_labels(rank: int) -> np.ndarray:
+    """``labels[i, j]`` is the key text ``(i,j)`` of letter (i, j), 1-based."""
+    r = range(rank + 1)
+    return np.array([[f"({i},{j})" for j in r] for i in r], dtype=object)
+
+
+def _word_bodies(letters: np.ndarray, labels: np.ndarray) -> list[str]:
+    """The key of each word of ``letters`` after its ``side:``."""
+    columns = labels[letters[..., 0], letters[..., 1]].T.tolist()  # no list per word
+    return list(map("".join, zip(*columns)))
+
+
 @dataclass
 class InvariantSignature:
     """Decomposition-independent invariants of one density matrix."""
@@ -689,7 +701,7 @@ class InvariantSignature:
     rank: int
     block_sizes: tuple[int, ...]
     power_traces: np.ndarray
-    balanced_groups: list[WordGroup]
+    balanced_groups: list[WordGroup]  # L then R per length; the two share one letters array
     block_invariants: dict[str, complex]
     tau_balanced: int
     tau_block: int
@@ -697,20 +709,14 @@ class InvariantSignature:
 
     @property
     def balanced_words(self) -> dict[str, complex]:
-        """Canonical word key -> value; built on demand (keys are slow)."""
+        """Canonical word key -> value, in group order; built on first use."""
         if self._balanced_cache is None:
-            # letters are 1-based indices <= rank; code i*m + j labels (i, j)
-            m = self.rank + 1
-            labels = np.array([f"({c // m},{c % m})" for c in range(m * m)], dtype=object)
+            labels, groups = _letter_labels(self.rank), self.balanced_groups
             out: dict[str, complex] = {}
-            letters = bodies = None
-            for g in self.balanced_groups:
-                # both sides of a length share one letters array, so one body list
-                if g.letters is not letters:
-                    letters = g.letters
-                    codes = letters[:, :, 0].astype(np.intp) * m + letters[:, :, 1]
-                    bodies = list(map("".join, labels[codes].tolist()))
-                out.update(zip(map((g.side + ":").__add__, bodies), g.values.tolist()))
+            for left, right in zip(groups[0::2], groups[1::2]):  # one letters array
+                bodies = _word_bodies(left.letters, labels)
+                for g in (left, right):
+                    out.update(zip(map((g.side + ":").__add__, bodies), g.values.tolist()))
             self._balanced_cache = out
         return self._balanced_cache
 

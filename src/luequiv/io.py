@@ -19,18 +19,19 @@ diff cleanly.  A matrix entry that is not a list of exactly two numbers
 State files and reports are written by `dump_json`, whose bytes are those
 of ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` (a parity test
 pins this), except that it also accepts `complex` values and writes each
-as its [re, im] pair.  It formats the large word and block tables of a
-fingerprint report in one pass instead of through the standard library's
-pure-Python indenting encoder, and formats each distinct float bit
-pattern of a table once.  That is exact: the text of a float is a
-function of its bits alone, and ``0.0`` and ``-0.0`` are different
-patterns, so each keeps its own text.
+as its [re, im] pair.  Every dict of complex values, and every
+`ComplexTable` (a fingerprint's word table, rows already in key order),
+is written by one table writer, one ``"".join`` of constant and
+formatted pieces, not the standard library's pure-Python encoder.  Each
+distinct float bit pattern of a table is formatted once (its shortest
+round-trip repr, the floor of a large report's time).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -87,25 +88,43 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _complex_table(d: dict, pad: str) -> str:
-    """A non-empty dict of complex values, its keys sorted, in one pass.
+@dataclass(frozen=True)
+class ComplexTable:
+    """A JSON object of complex values, rows in key order: ``prefix + key:
+    values[p, k]`` for each prefix, then each key.  Prefixes and keys go
+    between constant quotes: ASCII that JSON does not escape, as every key
+    the package builds is."""
 
-    Each distinct float bit pattern is formatted once.  That is exact: a
-    float's text is a function of its bits alone, and ``0.0`` and ``-0.0``
-    (or NaNs of another sign or payload) are different patterns.  A
-    fingerprint's right-side words repeat its left-side values, so more
-    than half the floats of a word table are repeats.
-    """
-    keys = sorted(d)
-    z = np.array([d[k] for k in keys], dtype=complex)
+    prefixes: tuple[str, ...]
+    keys: list[str]
+    values: np.ndarray  # complex, (len(prefixes), len(keys))
+
+
+def _complex_table(table: ComplexTable, pad: str) -> str:
+    """``table`` in one ``"".join``, each distinct float bit pattern formatted
+    once: exact, as a float's text depends on its bits alone (``0.0`` and
+    ``-0.0``, or NaNs of another sign or payload, are different patterns).
+    A word table's R: values repeat its L: values."""
+    z = table.values.ravel()
+    if not z.size:
+        return "{}"
     bits, where = np.unique(z.view(np.uint64), return_inverse=True)
     num = float.__repr__ if np.isfinite(z).all() else _float
     unique = np.array(list(map(num, bits.view(float).tolist())), dtype=object)
     text = unique[where].tolist()  # real and imaginary parts interleaved
-    inner, sep = pad + "    ", ",\n" + pad + "  "
-    row = "{}: [\n" + inner + "{},\n" + inner + "{}\n" + pad + "  ]"
-    rows = map(row.format, map(_quote, keys), text[0::2], text[1::2])
-    return f"{{\n{pad}  {sep.join(rows)}\n{pad}}}"  # one copy of the joined rows
+    inner, w, n = pad + "    ", len(table.keys), z.size
+    # per row: head (closing the row before), key, '": [', re, ',', im;
+    # every slot but the ',' ones is overwritten below
+    parts = [f",\n{inner}"] * (6 * n)
+    for p, prefix in enumerate(table.prefixes):
+        parts[6 * p * w:6 * (p + 1) * w:6] = [f'\n{pad}  ],\n{pad}  "{prefix}'] * w
+    parts[0] = f'{{\n{pad}  "{table.prefixes[0]}'
+    parts[1::6] = table.keys * len(table.prefixes)
+    parts[2::6] = [f'": [\n{inner}'] * n
+    parts[3::6] = text[0::2]
+    parts[5::6] = text[1::2]
+    parts.append(f"\n{pad}  ]\n{pad}}}")
+    return "".join(parts)
 
 
 def _encode(o, pad: str) -> str:
@@ -124,6 +143,8 @@ def _encode(o, pad: str) -> str:
         return _float(o)
     if isinstance(o, complex):
         o = [o.real, o.imag]
+    if isinstance(o, ComplexTable):
+        return _complex_table(o, pad)
     if not isinstance(o, (list, tuple, dict)):
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     if not o:
@@ -131,7 +152,9 @@ def _encode(o, pad: str) -> str:
     inner, sep = pad + "  ", ",\n" + pad + "  "
     if isinstance(o, dict):
         if all(issubclass(t, complex) for t in set(map(type, o.values()))):
-            return _complex_table(o, pad)
+            keys = sorted(o)
+            values = np.array([[o[k] for k in keys]], dtype=complex)
+            return _complex_table(ComplexTable(("",), [_quote(k)[1:-1] for k in keys], values), pad)
         items = [_quote(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
         return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
     return f"[\n{inner}{sep.join([_encode(v, inner) for v in o])}\n{pad}]"

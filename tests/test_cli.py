@@ -13,7 +13,7 @@ import pytest
 
 import luequiv as lq
 from luequiv.cli import _FLAGS, build_parser, main
-from luequiv.io import save_state
+from luequiv.io import load_state, save_state
 
 from conftest import bell_density
 
@@ -212,6 +212,49 @@ class TestReportBytes:
         for name, res in runs.items():
             want = json.dumps(docs[name], sort_keys=True, indent=2) + "\n"
             assert res.stdout == want, name
+
+    # name -> (local_dim, rank, degeneracy profile, seed, --tau-cap or None)
+    FINGERPRINTS = {
+        # two-digit labels: "(10,1)" sorts before "(2,1)" as text
+        "rank 10": (4, 10, None, 19, 3),
+        # singletons at positions 0, 3 and 4 map by a gather, not a shift
+        "profile 1,2,1,1": (3, 5, [1, 2, 1, 1], 0, None),
+        "rank 1": (2, 1, None, 0, None),
+    }
+
+    def fingerprint(self, name, tmp_path):
+        """(report text, signature) of state ``name``, the report from the CLI."""
+        n, rank, profile, seed, tau_cap = self.FINGERPRINTS[name]
+        path = tmp_path / "state.json"
+        save_state(path, lq.random_density(n, rank, profile, seed=seed).matrix, n)
+        flags = [] if tau_cap is None else ["--tau-cap", tau_cap]
+        code, text = main_in_process("fingerprint", path, *flags)
+        assert code == 0
+        tol = lq.DEFAULT_TOL if tau_cap is None else lq.DEFAULT_TOL.replace(tau_cap=tau_cap)
+        return text, lq.fingerprint(load_state(path)[0], tol)
+
+    @pytest.mark.parametrize("name", [*FINGERPRINTS, "mixed"])
+    def test_fingerprint_reports_match_json_dumps(self, name, states, tmp_path):
+        if name == "mixed":
+            text = main_in_process("fingerprint", states["mixed"])[1]
+        else:
+            text = self.fingerprint(name, tmp_path)[0]
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert bool(doc["balanced_words"]) == (name != "mixed")
+        assert bool(doc["block_invariants"]) == (name in ("mixed", "profile 1,2,1,1"))
+        if name == "profile 1,2,1,1":
+            assert doc["block_sizes"] == [1, 2, 1, 1]  # singletons not contiguous
+
+    @pytest.mark.parametrize("name", ["rank 10", "profile 1,2,1,1"])
+    def test_report_words_are_the_signature_words(self, name, tmp_path):
+        # key for key, in the same sorted order, and every float bit for bit
+        text, sig = self.fingerprint(name, tmp_path)
+        words = json.loads(text)["balanced_words"]
+        assert list(words) == sorted(sig.balanced_words)
+        got = np.array([words[k] for k in sig.balanced_words])
+        want = np.array(list(sig.balanced_words.values()))
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64).reshape(-1, 2))
 
 
 class TestHelp:

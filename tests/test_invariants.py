@@ -723,6 +723,21 @@ class TestFingerprint:
             for row, v in zip(g.letters, g.values.tolist())
         ]
 
+    def test_keys_need_no_json_escape(self):
+        # the report writer puts constant quotes around these keys
+        keys = [_word_key(side, row) for side in "LR" for row in ([(1, 255)], [(255, 9), (10, 1)])]
+        keys += [
+            _block_key(side, block, tau, ctype)
+            for side in "LR"
+            for block in ((0, 1), (3, 9, 254))
+            for tau in range(1, 7)
+            for ctype, _ in cycle_type_representatives(tau)
+        ]
+        sig = lq.fingerprint(lq.random_density(4, 12, [1, 2, 1, 1, 3, 1, 1, 1, 1], seed=3))
+        keys += [*sig.balanced_words, *sig.block_invariants]
+        for key in keys:
+            assert key.isascii() and key.isprintable() and not set(key) & set('"\\'), key
+
     @pytest.mark.parametrize("seed, singles", [(0, (0, 3)), (2, (0, 1)), (5, (0, 3))])
     def test_letters_are_original_indices(self, seed, singles):
         # singletons at (0, 3) map by a gather, at (0, 1) by a shift
