@@ -11,7 +11,10 @@ stdout.  For an algebra basis it holds the state's name, the side, the
 dimension and the SHA-256 of the admitted word keys; values stay out, as
 they move at rounding level.  Run this one script, with its corpora,
 against the ``src`` of each checkout, so that both sides print the same
-columns, and diff:
+columns, and diff.  A change to the numerics may move a line's
+certificate bytes and residual (columns 6 and 7); columns 1-5 (name,
+outcome, reason, witness, attempts) must not move unless the change
+means them to:
 
     PYTHONPATH=../before/src python scripts/verdict_digest.py > before.txt
     PYTHONPATH=src python scripts/verdict_digest.py > after.txt
@@ -43,6 +46,10 @@ Corpora (all by default, or name them with --corpus):
                    of 1e-11 to 1e-3 apart, against their exact and their
                    1e-12-perturbed local-unitary images, both ways, and
                    against their complex conjugates
+    full-rank      full-rank orbit pairs at N=6, 8, 10 and 12, each state
+                   from a Haar unitary of size N^2 and a linspace
+                   spectrum, and Werner (p = 0.3) and isotropic (f = 0.4)
+                   orbit pairs at N=3-5, both ways
 """
 
 from __future__ import annotations
@@ -205,6 +212,27 @@ def near_gap():
             yield name, a, b
 
 
+def full_rank():
+    from conftest import werner
+    from test_known_answers import isotropic
+
+    states = []
+    for n in (6, 8, 10, 12):
+        rng = np.random.default_rng(1900 + n)
+        basis = lq.haar_unitary(n * n, rng)
+        lams = np.linspace(1, 2, n * n)
+        rho = lq.validate_density((basis * (lams / lams.sum())) @ basis.conj().T, n)
+        states.append((f"full-rank:n{n}", rho, rng))
+    for n in (3, 4, 5):
+        states.append((f"full-rank:werner-n{n}", werner(n, 0.3), np.random.default_rng(1910 + n)))
+        states.append((f"full-rank:isotropic-n{n}", isotropic(n, 0.4), np.random.default_rng(1920 + n)))
+    for name, rho, rng in states:
+        n = rho.dim_local
+        image = lq.apply_local_unitary(rho, lq.haar_unitary(n, rng), lq.haar_unitary(n, rng))
+        yield name, rho, image
+        yield f"{name} swapped", image, rho
+
+
 def _verdicts(pairs):
     """A corpus of decided pairs, as digest lines."""
     return lambda: (digest_line(name, lq.decide(a, b)) for name, a, b in pairs())
@@ -220,6 +248,7 @@ CORPORA = {
     "cli-reports": cli_reports,
     "algebra": algebra,
     "near-gap": _verdicts(near_gap),
+    "full-rank": _verdicts(full_rank),
 }
 
 

@@ -48,10 +48,9 @@ every matrix, singular or not, so each candidate costs two SVDs and one
    bit (products with exact ones and zeros are exact).  It certifies a
    state against itself whatever its degeneracies.
 2. Product system.  S_A = {X : H_b X = X H'_b for every block b} and
-   S_B = {Y : K_b Y = Y K'_b} each come from one SVD, with a cutoff
-   relative to the families' norm: when every H_b is a multiple of 1
-   (Werner, isotropic and Bell-diagonal states) the rows are rounding
-   noise and S_A is every matrix.  Then rho1 T = T rho2 is solved for
+   S_B = {Y : K_b Y = Y K'_b} come from one eigendecomposition of a
+   weighted sum of each family and one SVD on the entries it leaves free
+   (``_intertwiners``).  Then rho1 T = T rho2 is solved for
    T = sum_ab c_ab X_a (x) conj(Y_b) over the bases of S_A and S_B, and
    each candidate c is split into (X, Y) by the top singular pair of its
    dim S_A x dim S_B reshape.  Nothing here depends on phases or bases.
@@ -73,8 +72,7 @@ singleton and a product space of more than one dimension (pure and
 isotropic states): one singleton needs no alignment, and its coupled
 system is far smaller.  Each system gets one SVD (the one-column
 product system a norm) and one search through ``_search_pair``; if none
-certifies, the verdict is an explicit
-Inconclusive rather than a guess.
+certifies, the verdict is an explicit Inconclusive rather than a guess.
 
 The coupled system holds no generator equations of two singletons i and
 j, because the linking equations imply them.  With the linking residuals
@@ -108,7 +106,7 @@ from .invariants import (
     values_close,
     word_trace,
 )
-from .linalg import dagger, frob, nullspace, polar_decompose
+from .linalg import NullSpace, dagger, frob, nullspace, polar_decompose
 from .states import (
     DensityMatrix,
     SpectralDecomposition,
@@ -289,22 +287,41 @@ def _gram_agrees(ops: np.ndarray, eps_inv: float) -> bool:
     return bool(np.max(np.abs(gram[:, 0] - gram[:, 1])) <= eps_inv)
 
 
-def _intertwiners(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (vec rows) of {Z : P_b Z = Z Q_b for every b}.
+def _intertwiners(ops: np.ndarray, levels: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal bases (vec rows) of {Z : P_b Z = Z Q_b for every b} for
+    both sides of ``ops`` (``_block_operators``); ``levels`` holds each
+    block's eigenvalue.
 
-    The rows of P Z - Z Q on the row-major vec of Z are P (x) 1 - 1 (x) Q^T.
-    The cutoff is relative to the families' norm, not to the largest
-    singular value of the rows: when every P_b is a multiple of 1 the rows
-    are rounding noise and every Z solves them.
+    Z also intertwines C = sum c_b P_b and C' = sum c_b Q_b (Murota, Kanno,
+    Kojima and Kojima, Japan J. Indust. Appl. Math. 27, 2010), so in their
+    eigenbases W = V^dag Z V' vanishes off the eigenvalue pairs that match
+    within sqrt(EPS_NULL) sum |c_b| times the families' norm (coarse: it
+    only adds unknowns).  c_b = cos(0.3 + 2.5 level / top level), monotone
+    and smooth: blocks a small gap apart, which eigh mixes, weigh nearly
+    alike, so unlike random weights they cancel the mixing in C.  The SVD
+    cutoff is relative to the families' norm too, so scalar families leave
+    every Z free.  Sides with as many unknowns share one SVD call.
     """
-    n = ps.shape[1]
-    eye = np.eye(n)
-    left = ps[:, :, None, :, None] * eye[:, None, :]
-    right = eye[:, None, :, None] * qs.transpose(0, 2, 1)[:, None, :, None, :]
-    rows = left - right
-    rows += 0.0  # -0.0 becomes +0.0: the sign of a zero can flip the SVD's reflections
-    scale = np.max(np.linalg.norm(ps, axis=(1, 2)) + np.linalg.norm(qs, axis=(1, 2)))
-    return nullspace(rows.reshape(-1, n * n)).basis(EPS_NULL, scale)
+    sides, _, nb, n, _ = ops.shape
+    c = np.cos(levels * (2.5 / levels[0]) + 0.3)
+    lams, v = np.linalg.eigh((c @ ops.reshape(sides, 2, nb, -1)).reshape(sides, 2, n, n))
+    scales = np.linalg.norm(ops.reshape(sides, 2, nb, -1), axis=-1).sum(axis=1).max(axis=-1)
+    tols = math.sqrt(EPS_NULL) * abs(c).sum() * scales[:, None, None]
+    side, i, j = np.nonzero(abs(lams[:, 0, :, None] - lams[:, 1, None]) <= tols)
+    vt, m = v.swapaxes(-1, -2), np.arange(len(side))
+    rot = vt.conj()[:, :, None] @ ops @ v[:, :, None]
+    # unknown W_ij: column i of V^dag P V in W's column j, less row j of V'^dag Q V' in row i
+    rows = np.zeros((len(side), nb, n, n), dtype=complex)
+    rows.swapaxes(2, 3)[m, :, j] = rot[side, 0, :, :, i]
+    rows[m, :, i] -= rot[side, 1, :, j]
+    spans = (vt[side, 0, i, :, None] * vt[side, 1, j, None].conj()).reshape(-1, n * n)
+    split = np.count_nonzero(side == 0)
+    if 2 * split == len(side):
+        nulls = zip(*nullspace(rows.reshape(sides, split, nb * n * n).swapaxes(1, 2)))
+    else:
+        nulls = [nullspace(r.reshape(len(r), nb * n * n).T) for r in (rows[:split], rows[split:])]
+    parts = zip(nulls, scales, (spans[:split], spans[split:]))
+    return [NullSpace(*null).basis(EPS_NULL, scale) @ span for null, scale, span in parts]
 
 
 def _product_system(rho1: DensityMatrix, rho2: DensityMatrix, xs, ys) -> np.ndarray:
@@ -382,7 +399,7 @@ def _attempt_certificate(
     details: dict = {"attempts": [{"mode": "identity", "success": residual <= tol.eps_cert}]}
     if residual <= tol.eps_cert:
         return Certificate(eye, eye, residual), details
-    xs, ys = (_intertwiners(ps, qs) for ps, qs in ops)
+    xs, ys = _intertwiners(ops, sd1.eigenvalues[[b[0] for b in blocks]])
     da, db = len(xs), len(ys)
     singles = [b[0] for b in blocks if len(b) == 1]
 

@@ -87,25 +87,28 @@ class NullSpace(NamedTuple):
         ``scale`` (default: the largest singular value); shape (k, cols),
         k = 0 when only zero solves it."""
         cutoff = eps_null * (self.singulars[0] if scale is None else scale)
-        return self.vectors[int(np.sum(self.singulars > cutoff)):]
+        return self.vectors[np.count_nonzero(self.singulars > cutoff):]
 
 
 def nullspace(mat: np.ndarray) -> NullSpace:
-    """Approximate null space of ``mat``, read off at any cutoff by ``basis``."""
+    """Approximate null space of ``mat``, read off at any cutoff by ``basis``.
+    A stack (..., rows, cols) takes one SVD call; ``zip(*null)`` splits it."""
     a = np.asarray(mat, dtype=complex)
-    rows, cols = a.shape
-    if a.size == 0:
-        return NullSpace(np.eye(cols, dtype=complex), np.zeros(cols))
-    if 9 * rows >= 17 * cols and a.size >= 1024:
+    *stack, rows, cols = a.shape
+    if 9 * rows >= 17 * cols and rows * cols >= 1024:
         # R-SVD (Chan 1982): a = QR, and the square R has a's singular values
         # and right factor, so the rows x cols left factor is never formed.
         # zgesdd takes this route itself from rows >= 17 cols / 9, so the
         # bits are those of the direct SVD; below 1024 entries the QR call
-        # costs more than the left factor it saves.
-        a = np.linalg.qr(a, mode="r")
+        # costs more than the left factor it saves.  qr copies its whole
+        # input, so a stack goes one system at a time.
+        a = np.array([np.linalg.qr(m, mode="r") for m in a]) if stack else np.linalg.qr(a, mode="r")
     # Only the right factor is read.  A wide system needs the full right
     # basis, whose left factor is then rows x rows.
     _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
-    if s[0] <= 1e-12:  # the whole system is rounding noise
-        return NullSpace(np.eye(cols, dtype=complex), np.zeros(cols))
-    return NullSpace(vh.conj(), np.concatenate([s, np.zeros(cols - len(s))]))
+    if rows < cols:
+        s = np.concatenate([s, np.zeros((*stack, cols - rows))], axis=-1)
+    vecs, noise = vh.conj(), s[..., :1] <= 1e-12  # the whole system is rounding noise
+    if noise.any():
+        vecs[noise[..., 0]], s[noise[..., 0]] = np.eye(cols), 0.0
+    return NullSpace(vecs, s)

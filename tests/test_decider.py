@@ -1,20 +1,21 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import luequiv as lq
 import luequiv.decider as decider
-from luequiv.config import DEFAULT_TOL, EPS_UNITARY, Tolerances
+from luequiv.config import DEFAULT_TOL, EPS_NULL, EPS_UNITARY, Tolerances
 from luequiv.decider import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT
 from luequiv.errors import DimensionMismatch, NotUnitary
 from luequiv.invariants import Word, compare_signatures, fingerprint_from_decomposition, values_close
-from luequiv.linalg import dagger
+from luequiv.linalg import dagger, nullspace
 from luequiv.states import decomposition_from_coeffs
 
 from conftest import count_calls, orbit_pair, recompute_witness, unit, weyl_bell_diagonal, werner
-from test_known_answers import _perturbed
+from test_known_answers import _perturbed, isotropic
 
 
 class TestCertify:
@@ -299,11 +300,12 @@ class TestDecide:
 
 
 class TestCertificateWork:
-    """The identity check, then one SVD per system, and no second certify
-    after a success.  The product system costs three SVDs: one for each
-    local family's intertwiners and one for the system itself.  When both
-    intertwiner spaces are one-dimensional the system is one column, whose
-    norm stands in for its SVD, so it costs two."""
+    """The identity check, then one SVD call per system, and no second
+    certify after a success.  The product system costs two calls: one
+    stacked SVD for both local families' intertwiners, whose reduced
+    systems have one shape in every pair below, and one for the system
+    itself.  When both intertwiner spaces are one-dimensional the system
+    is one column, whose norm stands in for its SVD, so it costs one."""
 
     def test_nondegenerate_pair_one_product_attempt(self, monkeypatch):
         rho, rho2, _, _ = orbit_pair(3, 4, seed=280)
@@ -313,7 +315,7 @@ class TestCertificateWork:
         assert verdict.outcome == EQUIVALENT
         # the identity check runs, but needs no certify call, and the
         # one-column product system needs no SVD
-        assert (len(svds), len(certifies)) == (2, 1)
+        assert (len(svds), len(certifies)) == (1, 1)
         assert verdict.details["attempts"][0] == {"mode": "identity", "success": False}
         assert [a["mode"] for a in verdict.details["attempts"]] == ["identity", "product"]
 
@@ -322,7 +324,7 @@ class TestCertificateWork:
         svds = count_calls(monkeypatch, "nullspace")
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT
-        assert len(svds) == 2
+        assert len(svds) == 1
         assert [a["mode"] for a in verdict.details["attempts"]] == ["identity", "product"]
 
     def test_failing_systems_are_searched_once_each(self, monkeypatch):
@@ -336,7 +338,7 @@ class TestCertificateWork:
         certifies = count_calls(monkeypatch, "certify")
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == INCONCLUSIVE
-        assert (len(svds), len(searches)) == (4, 2)
+        assert (len(svds), len(searches)) == (3, 2)
         modes = [a["mode"] for a in verdict.details["attempts"]]
         assert modes == ["identity", "product", "coupled"]
         # the identity check, then at most k + 1 candidates per k-dimensional space
@@ -627,10 +629,53 @@ class TestCertificateSystem:
         assert np.linalg.norm(system @ known) < 1e-12
 
 
-def _intertwiners(sd1, sd2, side):
-    """Intertwiners of the side's local families over the blocks of sd1."""
+def _intertwiners(sd1, sd2):
+    """Both sides' intertwiners of the local families over the blocks of sd1."""
     ops = decider._block_operators(sd1, sd2, sd1.blocks)
-    return decider._intertwiners(*ops["LR".index(side)])
+    return decider._intertwiners(ops, sd1.eigenvalues[[b[0] for b in sd1.blocks]])
+
+
+def _kronecker_intertwiners(ps, qs):
+    """Reference: the null space of the rows P_b (x) 1 - 1 (x) Q_b^T of
+    P_b Z = Z Q_b on the row-major vec of Z, all N^2 entries unknown, with
+    the cutoff ``_intertwiners`` uses."""
+    eye = np.eye(ps.shape[1])
+    rows = np.vstack([np.kron(p, eye) - np.kron(eye, q.T) for p, q in zip(ps, qs)])
+    scale = np.max(np.linalg.norm(ps, axis=(1, 2)) + np.linalg.norm(qs, axis=(1, 2)))
+    return nullspace(rows).basis(EPS_NULL, scale)
+
+
+def _rotated(rho, seed):
+    rng = np.random.default_rng(seed)
+    n = rho.dim_local
+    return lq.apply_local_unitary(rho, lq.haar_unitary(n, rng), lq.haar_unitary(n, rng))
+
+
+def _intertwiner_pairs():
+    """(name, rho1, rho2, dims): seeded pairs and, where fixed, the
+    dimensions of both sides' spaces."""
+    for n, rank in ((2, 3), (3, 5), (4, 7), (5, 9)):
+        rho, img, _, _ = orbit_pair(n, rank, seed=290 + n)
+        yield f"orbit-n{n}", rho, img, (1, 1)
+    yield "orbit-n6", *_full_rank_orbit_pair(6, 296), (1, 1)
+    for n, rank, profile in ((3, 4, [2, 1, 1]), (3, 6, [3, 2, 1]), (4, 6, [2, 1, 1, 2])):
+        rho, img, _, _ = orbit_pair(n, rank, seed=297 + n, profile=profile)
+        yield f"degenerate-n{n}-{profile}", rho, img, None
+    for n in (3, 4):
+        yield f"werner-n{n}", werner(n, 0.3), _rotated(werner(n, 0.3), 300 + n), (n * n, n * n)
+        yield f"isotropic-n{n}", isotropic(n, 0.4), _rotated(isotropic(n, 0.4), 302 + n), (n * n, n * n)
+    # a pure state: one block, whose operator has N distinct eigenvalues
+    rho, img, _, _ = orbit_pair(3, 1, seed=304)
+    yield "pure-n3", rho, img, (3, 3)
+    wh = weyl_bell_diagonal(3, [0.3, 0.2, 0.15, 0.1, 0.08, 0.07, 0.05, 0.03, 0.02])
+    yield "weyl-heisenberg-n3", wh, _rotated(wh, 305), (9, 9)
+    # rho_A (x) 1/N: every K_b is a multiple of 1, so the sides' systems
+    # have N and N^2 unknowns and take an SVD call each
+    product = lq.validate_density(np.kron(np.diag([0.5, 0.3, 0.2]), np.eye(3) / 3), 3)
+    yield "product-n3", product, _rotated(product, 309), (3, 9)
+    # a mixed state against its complex conjugate: no common intertwiner
+    rho = lq.random_density(3, 4, seed=306)
+    yield "conjugate-n3", rho, lq.validate_density(rho.matrix.conj(), 3), (0, 0)
 
 
 class TestProductSystem:
@@ -641,7 +686,7 @@ class TestProductSystem:
         n = 3
         rho, rho2, u1, u2 = orbit_pair(n, 4, seed=283, profile=[2, 1, 1])
         sd1, sd2 = lq.spectral_decompose(rho), lq.spectral_decompose(rho2)
-        xs, ys = _intertwiners(sd1, sd2, "L"), _intertwiners(sd1, sd2, "R")
+        xs, ys = _intertwiners(sd1, sd2)
         # X = U1^dag and Y = U2^T lie in the intertwiner spaces
         cx, cy = xs.conj() @ dagger(u1).reshape(-1), ys.conj() @ u2.T.reshape(-1)
         assert np.linalg.norm(cx @ xs - dagger(u1).reshape(-1)) < 1e-10
@@ -650,37 +695,51 @@ class TestProductSystem:
         assert system.shape == (n ** 4, len(xs) * len(ys))
         assert np.linalg.norm(system @ np.outer(cx, cy).reshape(-1)) < 1e-10
 
-    def test_intertwiner_rows_hold_no_negative_zero(self, monkeypatch):
-        # the rows are P (x) 1 - 1 (x) Q^T, with every zero +0.0: the sign of
-        # a zero can flip a reflection of the SVD and so the basis bits
-        rho, rho2, _, _ = orbit_pair(3, 4, seed=285, profile=[2, 1, 1])
-        sd1, sd2 = lq.spectral_decompose(rho), lq.spectral_decompose(rho2)
-        systems = []
-        inner = decider.nullspace
-        monkeypatch.setattr(decider, "nullspace", lambda m: systems.append(m) or inner(m))
-        for ps, qs in decider._block_operators(sd1, sd2, sd1.blocks):
-            decider._intertwiners(ps, qs)
-            eye = np.eye(3)
-            kron = np.vstack([np.kron(p, eye) - np.kron(eye, q.T) for p, q in zip(ps, qs)])
-            rows = systems[-1]
-            np.testing.assert_array_equal(rows, kron)
-            for part in (rows.real, rows.imag):
-                assert not np.any(np.signbit(part[part == 0]))
-
     def test_scalar_families_leave_every_matrix_free(self):
         # Werner states: both local families are multiples of 1, so their
         # rows are rounding noise; a cutoff relative to the largest
         # singular value would keep only part of the N^2 directions
         n = 3
         rho = werner(n, 0.3)
-        rng = np.random.default_rng(284)
-        moved = lq.apply_local_unitary(rho, lq.haar_unitary(n, rng), lq.haar_unitary(n, rng))
+        moved = _rotated(rho, 284)
         sd1, sd2 = lq.spectral_decompose(rho), lq.spectral_decompose(moved)
-        for side in ("L", "R"):
-            assert _intertwiners(sd1, sd2, side).shape == (n * n, n * n)
+        assert [b.shape for b in _intertwiners(sd1, sd2)] == [(n * n, n * n)] * 2
         verdict = lq.decide(rho, moved)
         assert verdict.outcome == EQUIVALENT
         assert lq.certify(rho, moved, verdict.certificate.u, verdict.certificate.w) <= 1e-8
+
+    @pytest.mark.parametrize("rho, rho2, dims", [pytest.param(*p[1:], id=p[0]) for p in _intertwiner_pairs()])
+    def test_spaces_match_the_kronecker_rows(self, rho, rho2, dims):
+        sd1, sd2 = lq.spectral_decompose(rho), lq.spectral_decompose(rho2)
+        ops = decider._block_operators(sd1, sd2, sd1.blocks)
+        bases = _intertwiners(sd1, sd2)
+        if dims is not None:
+            assert tuple(len(b) for b in bases) == dims
+        for basis, (ps, qs) in zip(bases, ops):
+            ref = _kronecker_intertwiners(ps, qs)
+            assert basis.shape == ref.shape
+            # orthonormal rows, and the projectors onto the two spans agree
+            np.testing.assert_allclose(basis.conj() @ basis.T, np.eye(len(basis)), atol=1e-10)
+            assert np.max(np.abs(basis.T @ basis.conj() - ref.T @ ref.conj()), initial=0) <= 1e-8
+
+    def test_full_rank_n10_certifies_in_little_memory(self):
+        # the N^2-unknown rows of each local family would take 16 N^6 bytes
+        # (16 MB at N = 10), and their SVD more
+        rng = np.random.default_rng(307)
+        n = 10
+        basis = lq.haar_unitary(n * n, rng)
+        lams = np.linspace(1, 2, n * n)
+        rho = lq.validate_density((basis * (lams / lams.sum())) @ dagger(basis), n)
+        rho2 = _rotated(rho, 308)
+        tracemalloc.start()
+        try:
+            verdict = lq.decide(rho, rho2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.outcome == EQUIVALENT
+        assert verdict.details["attempts"][-1]["mode"] == "product"
+        assert peak < 16e6
 
 
 def _reference_joint_blocks(sd1, sd2, eps_deg):

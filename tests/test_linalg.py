@@ -210,3 +210,23 @@ class TestNullspace:
         null = linalg.nullspace(m)
         np.testing.assert_array_equal(null.vectors, np.eye(20))
         np.testing.assert_array_equal(null.singulars, np.zeros(20))
+
+    @pytest.mark.parametrize("rows, cols", [(6, 4), (3, 5), (200, 20)])
+    def test_stack_is_each_system_alone(self, rows, cols):
+        # one call on a stack, short, wide and tall (the R-SVD route): each
+        # system gets the bits it gets alone, rounding noise included
+        rng = np.random.default_rng(rows + cols)
+        m = rng.standard_normal((3, rows, cols)) + 1j * rng.standard_normal((3, rows, cols))
+        m[1] *= 1e-14
+        null = linalg.nullspace(m)
+        assert null.vectors.shape == (3, cols, cols)
+        for k, (vectors, singulars) in enumerate(zip(*null)):
+            alone = linalg.nullspace(m[k])
+            np.testing.assert_array_equal(vectors, alone.vectors)
+            np.testing.assert_array_equal(singulars, alone.singulars)
+        np.testing.assert_array_equal(null.vectors[1], np.eye(cols))
+
+    def test_stack_without_unknowns(self):
+        null = linalg.nullspace(np.zeros((2, 5, 0)))
+        assert null.vectors.shape == (2, 0, 0)
+        assert [linalg.NullSpace(*one).basis(1e-8, 1.0).shape for one in zip(*null)] == [(0, 0)] * 2
