@@ -40,8 +40,9 @@ are gauge-free covariant local operators: H'_b = U1 H_b U1^dagger and
 K'_b = conj(U2) K_b U2^T.  The search looks for a pair (X, Y) whose
 unitary polar parts (u, w) pass ``certify``; (U1^dagger, U2^T) is one.
 No candidate is screened first: the SVD gives a unitary polar factor of
-every matrix, singular or not, so each candidate costs two SVDs and one
-``certify``, and the residual alone decides.
+every matrix, singular or not, so each candidate costs one SVD call on
+the stack of X and Y (one more to split a vector of a product system of
+more than one column) and one ``certify``; the residual alone decides.
 
 1. Identity.  u = w = 1 is tried first, with the residual
    ||rho2 - rho1||_F, which is ``certify``'s value at u = w = 1 bit for
@@ -269,7 +270,7 @@ def _block_operators(
     over the blocks, which are consecutive runs of indices.
     """
     a = np.array((sd1.coeff_matrices, sd2.coeff_matrices))
-    x = np.stack((a, a.conj().swapaxes(-1, -2)))
+    x = np.array((a, a.conj().swapaxes(-1, -2)))
     return np.add.reduceat(x @ x.conj().swapaxes(-1, -2), [b[0] for b in blocks], axis=2)
 
 
@@ -284,7 +285,7 @@ def _gram_agrees(ops: np.ndarray, eps_inv: float) -> bool:
     flat = ops.reshape(*ops.shape[:3], -1)
     # G[b, c] = sum_k P_b[k] conj(P_c[k]) = Tr(P_b P_c^dag), and P_c is Hermitian
     gram = flat @ flat.conj().swapaxes(-1, -2)
-    return bool(np.max(np.abs(gram[:, 0] - gram[:, 1])) <= eps_inv)
+    return bool(abs(gram[:, 0] - gram[:, 1]).max() <= eps_inv)
 
 
 def _intertwiners(ops: np.ndarray, levels: np.ndarray) -> list[np.ndarray]:
@@ -303,9 +304,10 @@ def _intertwiners(ops: np.ndarray, levels: np.ndarray) -> list[np.ndarray]:
     every Z free.  Sides with as many unknowns share one SVD call.
     """
     sides, _, nb, n, _ = ops.shape
-    c = np.cos(levels * (2.5 / levels[0]) + 0.3)
-    lams, v = np.linalg.eigh((c @ ops.reshape(sides, 2, nb, -1)).reshape(sides, 2, n, n))
-    scales = np.linalg.norm(ops.reshape(sides, 2, nb, -1), axis=-1).sum(axis=1).max(axis=-1)
+    c, flat = np.cos(levels * (2.5 / levels[0]) + 0.3), ops.reshape(sides, 2, nb, -1)
+    lams, v = np.linalg.eigh((c @ flat).reshape(sides, 2, n, n))
+    # each block's Frobenius norm as np.linalg.norm(flat, axis=-1) forms it
+    scales = np.sqrt((flat.conj() * flat).real.sum(axis=-1)).sum(axis=1).max(axis=-1)
     tols = math.sqrt(EPS_NULL) * abs(c).sum() * scales[:, None, None]
     side, i, j = np.nonzero(abs(lams[:, 0, :, None] - lams[:, 1, None]) <= tols)
     vt, m = v.swapaxes(-1, -2), np.arange(len(side))
@@ -364,20 +366,24 @@ def _search_pair(
     a one-dimensional space every combination is a multiple of the basis
     vector, and ``certify`` does not see the common phase, so the draw is
     made only from two dimensions up.  No candidate is screened: each
-    costs the two SVDs of its polar factors and one ``certify`` call, which
-    alone decides, so a space of dimension k costs at most k + 1 calls.
+    costs one SVD call for the polar factors of X and Y, stacked, and one
+    ``certify`` call, which alone decides, so a space of dimension k costs
+    at most k + 1 of each.
     """
     k = vecs.shape[0]
-    candidates = list(vecs)
-    if k >= 2:
-        rng = np.random.default_rng(_SEARCH_SEED)
-        candidates.append((rng.standard_normal(k) + 1j * rng.standard_normal(k)) @ vecs)
-    for cand in candidates:
-        x, y = split(cand)
-        u, w = polar_decompose(x), polar_decompose(y)
+
+    def candidates():
+        yield from vecs
+        if k >= 2:  # drawn only once every basis row has failed
+            rng = np.random.default_rng(_SEARCH_SEED)
+            yield (rng.standard_normal(k) + 1j * rng.standard_normal(k)) @ vecs
+
+    for cand in candidates():
+        u, w = polar_decompose(np.array(split(cand)))
         residual = certify(rho1, rho2, u, w)
         if residual <= tol.eps_cert:
-            return Certificate(u, w, residual)
+            # own copies: views would keep the stack alive, one more array per kept certificate
+            return Certificate(u.copy(), w.copy(), residual)
     return None
 
 
@@ -394,10 +400,10 @@ def _attempt_certificate(
     ``_block_operators(sd1, sd2, blocks)``."""
     n = rho1.dim_local
     nn = n * n
-    eye = np.eye(n, dtype=complex)
     residual = frob(rho2.matrix - rho1.matrix)  # certify(rho1, rho2, eye, eye)
     details: dict = {"attempts": [{"mode": "identity", "success": residual <= tol.eps_cert}]}
     if residual <= tol.eps_cert:
+        eye = np.eye(n, dtype=complex)
         return Certificate(eye, eye, residual), details
     xs, ys = _intertwiners(ops, sd1.eigenvalues[[b[0] for b in blocks]])
     da, db = len(xs), len(ys)
@@ -460,6 +466,8 @@ def _joint_blocks(
 ) -> tuple[tuple[int, ...], ...]:
     """Common coarsening of both block structures (indices pair by position):
     a block boundary survives only where both decompositions have one."""
+    if sd1.blocks == sd2.blocks:
+        return sd1.blocks
     starts = sorted({b[0] for b in sd1.blocks} & {b[0] for b in sd2.blocks})
     ends = starts[1:] + [sd1.rank]
     return tuple(tuple(range(a, b)) for a, b in zip(starts, ends))

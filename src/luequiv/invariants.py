@@ -817,7 +817,7 @@ def power_trace_mismatch(
     """The first J^s on which two power-trace arrays differ, as
     (kind, key, value_a, value_b), else None; ``values_close`` elementwise."""
     close = values_close(ja, jb, eps_inv)
-    if np.all(close):
+    if close.all():
         return None
     s = int(np.argmin(close))
     return ("power_trace", f"J^{s + 1}", complex(ja[s]), complex(jb[s]))

@@ -8,6 +8,7 @@ pivoting).
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -22,16 +23,25 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def frob(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm from the dot products ``np.linalg.norm`` takes of the
+    flat array, without its dispatch: for float64, complex128 and integer
+    arrays, ``float(np.linalg.norm(m))`` bit for bit."""
+    x = np.asarray(m).ravel("K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    if x.dtype.kind != "f":
+        x = x.astype(float)
+    return math.sqrt(x.dot(x))
 
 
 def ensure_matrix(m) -> np.ndarray:
-    """Coerce to a finite square complex array."""
+    """Coerce to a square complex array with finite real and imaginary parts
+    (``np.isfinite`` of a complex number is false if either part is not)."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -44,10 +54,9 @@ class HermitianEig(NamedTuple):
 def hermitian_eigendecompose(m) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     a = ensure_matrix(m)
-    if frob(a - dagger(a)) > EPS_HERM * max(1.0, frob(a)):
-        raise NotHermitian(
-            f"||M - M^dagger||_F = {frob(a - dagger(a)):.3e} exceeds tolerance"
-        )
+    dev = frob(a - dagger(a))
+    if dev > EPS_HERM * max(1.0, frob(a)):
+        raise NotHermitian(f"||M - M^dagger||_F = {dev:.3e} exceeds tolerance")
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
@@ -61,7 +70,8 @@ def polar_decompose(m: np.ndarray) -> np.ndarray:
 
     From the SVD M = W diag(s) V^dagger, u = W V^dagger.  For a singular M
     the unitary factor is not unique, and W V^dagger is one of many; the
-    SVD fixes it deterministically.
+    SVD fixes it deterministically.  A stack (..., N, N) takes one SVD call
+    and gives the stack of factors, each the bits its matrix gets alone.
     """
     try:
         w, _, vh = np.linalg.svd(m)

@@ -96,10 +96,11 @@ def _degeneracy_blocks(lams: np.ndarray, n: int, eps_deg: float) -> tuple[tuple[
     # closer than the gap threshold land in the same block.
     if len(lams) == 0:
         return ()
-    scale = max(float(lams[0]), 1.0 / (n * n))
+    vals = lams.tolist()
+    gap = eps_deg * max(vals[0], 1.0 / (n * n))
     blocks, current = [], [0]
-    for i in range(1, len(lams)):
-        if lams[i - 1] - lams[i] <= eps_deg * scale:
+    for i in range(1, len(vals)):
+        if vals[i - 1] - vals[i] <= gap:
             current.append(i)
         else:
             blocks.append(tuple(current))
@@ -112,15 +113,13 @@ def spectral_decompose(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Spe
     """Eigendecompose a density matrix and reshape eigenvectors to A_i."""
     n = rho.dim_local
     eig = hermitian_eigendecompose(rho.matrix)
-    keep = eig.eigenvalues > EPS_RANK
-    lams = eig.eigenvalues[keep]
-    # one read-only copy, eigenvectors as rows; each A_i is an (N, N) view of it
-    vecs = np.ascontiguousarray(eig.eigenvectors.T[keep])
-    vecs.flags.writeable = False
+    # eigenvalues descend, so the kept ones are a prefix; one read-only copy
+    # of their eigenvector rows, and each A_i is an (N, N) view of it
+    rank = np.count_nonzero(eig.eigenvalues > EPS_RANK)
+    lams, vecs = eig.eigenvalues[:rank], eig.eigenvectors[:, :rank].T.copy()
+    lams.flags.writeable = vecs.flags.writeable = False
     coeffs = tuple(vecs.reshape(-1, n, n))
-    return SpectralDecomposition(
-        n, _readonly(lams, float), coeffs, _degeneracy_blocks(lams, n, tol.eps_deg)
-    )
+    return SpectralDecomposition(n, lams, coeffs, _degeneracy_blocks(lams, n, tol.eps_deg))
 
 
 def density_from_decomposition(sd: SpectralDecomposition) -> DensityMatrix:
@@ -160,7 +159,9 @@ def _check_unitary(u: np.ndarray, n: int, name: str) -> np.ndarray:
     m = ensure_matrix(u)
     if m.shape[0] != n:
         raise DimensionMismatch(f"{name} must be {n}x{n}")
-    if frob(m @ dagger(m) - np.eye(n)) > EPS_UNITARY * max(1.0, frob(m)):
+    dev = m @ dagger(m)
+    dev.ravel()[:: n + 1] -= 1  # m m^dagger - 1, entry for entry
+    if frob(dev) > EPS_UNITARY * max(1.0, frob(m)):
         raise NotUnitary(f"{name} is not unitary within tolerance")
     return m
 

@@ -46,6 +46,22 @@ class TestCertify:
         with pytest.raises(NotUnitary):
             lq.certify(rho, rho, 2 * np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("name", ["u", "w"])
+    def test_non_unitary_factor_is_named(self, name):
+        rho = lq.random_density(2, 2, seed=92)
+        bad = {"u": np.eye(2), "w": np.eye(2), name: np.diag([1.0, 1.0 + 1e-6])}
+        with pytest.raises(NotUnitary, match=f"^{name} is not unitary within tolerance$"):
+            lq.certify(rho, rho, bad["u"], bad["w"])
+
+    @pytest.mark.parametrize("name", ["u", "w"])
+    def test_wrong_size_factor_is_a_dimension_mismatch(self, name):
+        rho = lq.random_density(2, 2, seed=92)
+        args = {"u": np.eye(2), "w": np.eye(2), name: np.eye(3)}
+        with pytest.raises(DimensionMismatch, match=f"^{name} must be 2x2$"):
+            lq.certify(rho, rho, args["u"], args["w"])
+        with pytest.raises(DimensionMismatch):
+            lq.certify(rho, lq.random_density(3, 2, seed=92), np.eye(2), np.eye(2))
+
     def test_unitarity_check_reads_the_given_tolerance(self):
         rho = lq.random_density(2, 2, seed=93)
         u = np.eye(2) + 1e-6 * np.array([[1, 0], [0, 0]])  # 1e-6 off unitary
@@ -373,8 +389,8 @@ class TestCertificateWork:
         assert isinstance(found, decider.Certificate)
         assert found.residual == 0
 
-    def test_successful_product_search_takes_two_svds(self, monkeypatch):
-        # one polar factor each for X and Y; a one-dimensional product
+    def test_successful_product_search_takes_one_svd(self, monkeypatch):
+        # one stacked polar call for X and Y; a one-dimensional product
         # space needs no split
         rho, rho2, _, _ = orbit_pair(3, 4, seed=280)
         svd, search = np.linalg.svd, decider._search_pair
@@ -393,7 +409,7 @@ class TestCertificateWork:
         verdict = lq.decide(rho, rho2)
         assert verdict.outcome == EQUIVALENT
         assert [a["mode"] for a in verdict.details["attempts"]] == ["identity", "product"]
-        assert len(svds) == 2
+        assert len(svds) == 1
 
     def test_one_singleton_tries_the_coupled_system_first(self):
         # a pure state: one singleton, whose coupling rows need no phase

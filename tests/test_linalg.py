@@ -23,6 +23,46 @@ def char_poly_coeffs(m: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+NON_FINITE = [complex(v, 0.0) for v in (np.nan, np.inf, -np.inf)] + [
+    complex(0.0, v) for v in (np.nan, np.inf, -np.inf)
+]
+
+
+class TestEnsureMatrix:
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    def test_rejects_a_non_finite_part(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            linalg.ensure_matrix(m)
+
+    def test_accepts_finite_real_input_as_complex(self):
+        a = linalg.ensure_matrix([[1, 2], [3, 4]])
+        assert a.dtype == complex
+        np.testing.assert_array_equal(a, [[1, 2], [3, 4]])
+
+
+class TestFrob:
+    """``frob`` forms the sum of squares ``np.linalg.norm`` forms, bit for bit."""
+
+    @staticmethod
+    def arrays():
+        rng = np.random.default_rng(18)
+        z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        r = rng.standard_normal((4, 6))
+        k = rng.integers(-50, 50, size=(3, 7))
+        yield from (z, z.T, z.conj(), z[1:4, ::2], r, r.T, k, k.T)
+        yield from (np.array([[3.0 - 4.0j]]), np.array([[-2.5]]), np.zeros((3, 3), complex))
+        yield from (np.zeros((2, 2)), np.zeros((2, 2), dtype=int), z.reshape(-1))
+
+    def test_equals_numpy_norm(self):
+        for m in self.arrays():
+            expected = float(np.linalg.norm(m))
+            got = linalg.frob(m)
+            assert type(got) is float
+            assert got.hex() == expected.hex(), (m.dtype, m.shape)
+
+
 class TestHermitianEig:
     def test_identity(self):
         res = linalg.hermitian_eigendecompose(np.eye(2, dtype=complex))
@@ -122,6 +162,17 @@ class TestPolar:
         for _ in range(10):
             m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             assert_polar_factor(linalg.polar_decompose(m), m)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_stack_matches_single_calls_bit_for_bit(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        x, y = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+        singular = np.outer(x[:, 0], y[0].conj())  # rank one
+        for pair in ((x, y), (singular, x), (y, singular)):
+            stacked = linalg.polar_decompose(np.array(pair))
+            assert stacked.shape == (2, dim, dim)
+            for got, m in zip(stacked, pair):
+                assert got.tobytes() == linalg.polar_decompose(m).tobytes()
 
 
 def commutant_system(pairs, dim):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import luequiv as lq
 from luequiv.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     NotHermitian,
     NotPositiveSemidefinite,
@@ -12,6 +15,8 @@ from luequiv.errors import (
     NotUnitTrace,
 )
 from luequiv.states import (
+    DensityMatrix,
+    _degeneracy_blocks,
     decomposition_from_coeffs,
     density_from_decomposition,
     remix_block,
@@ -46,6 +51,14 @@ class TestValidateDensity:
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             lq.validate_density(np.eye(4, dtype=complex) / 4, 3)
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_non_finite_entry_rejected(self, part, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 3] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            lq.validate_density(m, 2)
 
     def test_never_repairs(self):
         m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
@@ -110,6 +123,87 @@ class TestSpectralDecompose:
                 for j, b in enumerate(sd.coeff_matrices):
                     ip = np.vdot(a, b)
                     assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
+
+
+    # DensityMatrix objects built without validate_density: the checks of
+    # spectral_decompose are their only guard
+
+    def test_unvalidated_non_hermitian_rejected_with_its_deviation(self):
+        m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        m[0, 1] = 0.3
+        dev = np.linalg.norm(m - m.conj().T)
+        message = f"||M - M^dagger||_F = {dev:.3e} exceeds tolerance"
+        with pytest.raises(NotHermitian, match=f"^{re.escape(message)}$"):
+            lq.spectral_decompose(DensityMatrix(2, m))
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf)], ids=repr)
+    def test_unvalidated_non_finite_rejected(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[2, 2] = bad
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            lq.spectral_decompose(DensityMatrix(2, m))
+
+    def test_lapack_failure_is_a_convergence_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            lq.spectral_decompose(bell_density())
+
+
+def degeneracy_blocks_reference(lams, n, eps_deg):
+    """The chaining loop as it was written over numpy scalars."""
+    if len(lams) == 0:
+        return ()
+    scale = max(float(lams[0]), 1.0 / (n * n))
+    blocks, current = [], [0]
+    for i in range(1, len(lams)):
+        if lams[i - 1] - lams[i] <= eps_deg * scale:
+            current.append(i)
+        else:
+            blocks.append(tuple(current))
+            current = [i]
+    blocks.append(tuple(current))
+    return tuple(blocks)
+
+
+class TestDegeneracyBlocks:
+    EPS = 2.0 ** -20  # eps_deg * scale is then exact for a power-of-two scale
+
+    @pytest.mark.parametrize(
+        "lams, n",
+        [
+            ([], 2),
+            ([1.0], 2),
+            ([0.25, 0.25, 0.25, 0.25], 2),  # exact ties
+            ([0.5, 0.25, 0.25, 0.0], 2),
+            ([0.5, 0.5 - 2.0 ** -21, 0.0], 2),  # gap exactly eps_deg * 0.5
+            ([0.5, np.nextafter(0.5 - 2.0 ** -21, 0.0), 0.0], 2),  # one ulp wider
+            ([0.0625, 0.0625 - 2.0 ** -24, 0.0625 - 2.0 ** -23], 2),  # scale 1 / N^2
+            ([0.01, 0.01 - 2.0 ** -20 / 9], 3),  # scale 1 / N^2 = 1 / 9, at the boundary
+        ],
+    )
+    def test_matches_the_reference_loop(self, lams, n):
+        lams = np.array(lams, dtype=float)
+        assert _degeneracy_blocks(lams, n, self.EPS) == degeneracy_blocks_reference(lams, n, self.EPS)
+
+    def test_boundary_gap_chains_and_a_wider_one_splits(self):
+        exact = np.array([0.5, 0.5 - 2.0 ** -21])
+        assert 0.5 - exact[1] == self.EPS * 0.5
+        assert _degeneracy_blocks(exact, 2, self.EPS) == ((0, 1),)
+        wider = np.array([0.5, np.nextafter(exact[1], 0.0)])
+        assert _degeneracy_blocks(wider, 2, self.EPS) == ((0,), (1,))
+
+    def test_random_spectra(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            rank = int(rng.integers(1, n * n + 1))
+            # clustered values, so that both outcomes of the gap test occur
+            lams = np.sort(rng.choice(rng.random(3), rank) + 1e-9 * rng.random(rank))[::-1]
+            eps = float(10.0 ** rng.uniform(-10, -6))
+            assert _degeneracy_blocks(lams, n, eps) == degeneracy_blocks_reference(lams, n, eps)
 
 
 class TestApplyLocalUnitary:
